@@ -595,10 +595,15 @@ ALPHA_EXCEPTIONS = {("T3", 1): "the (2n,2n) series in P(1,1,n,n,2n-1) has alpha 
                                 "coefficient condition the descriptor does not carry")}
 
 
-def check_nonexistence(desc: WciDescriptor) -> Optional[TableNonCyl]:
+_LOOK_UP = object()
+
+
+def check_nonexistence(desc: WciDescriptor, hit=_LOOK_UP) -> Optional[TableNonCyl]:
     """Match the descriptor against the embedded tables and return a
-    non-cylindricity certificate where the classification provides one."""
-    hit = tables.match(desc)
+    non-cylindricity certificate where the classification provides one.
+    `hit` is the result of tables.match(desc) when the caller has it."""
+    if hit is _LOOK_UP:
+        hit = tables.match(desc)
     if hit is None:
         return None
     tid, rid, n = hit
@@ -655,7 +660,8 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
                          "follows if a general member is quasi-smooth, which "
                          "no criterion decides at codimension >= 3")
 
-    table_cert = check_nonexistence(desc)
+    hit = tables.match(desc)
+    table_cert = check_nonexistence(desc, hit)
     if table_cert is not None and not (wf and qs):
         notes.append("table row matched but well-formedness/quasi-smoothness "
                      "hypotheses fail; no non-cylindricity asserted")
@@ -666,7 +672,6 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
             f"{desc}: constructive certificate {constructive[0]} contradicts "
             f"table certificate {table_cert}")
 
-    hit = tables.match(desc)
     if hit is not None and (hit[0], hit[1]) in ALPHA_EXCEPTIONS and wf and qs:
         notes.append(ALPHA_EXCEPTIONS[(hit[0], hit[1])])
     if hit is not None and hit[0] == "T1" and hit[2] is not None \

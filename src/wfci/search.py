@@ -13,13 +13,13 @@ prefixes and merge to the same record set.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import cylinder, tables
-from .intarith import gcd_many
 from .wci import (WciDescriptor, adjunction, qs_ci2_fast, qs_hypersurface_fast,
                   FANO, CALABI_YAU)
 
@@ -96,84 +96,84 @@ CSV_HEADER = ["weights", "degrees", "canonical_coefficient", "amplitude",
 
 def _sorted_tuples(length: int, max_weight: int,
                    prefixes: Optional[set[tuple[int, int]]] = None) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing weight tuples, optionally restricted to a set of
-    (first, second) weight prefixes."""
-
-    def rec(prefix: tuple[int, ...], low: int):
-        if len(prefix) == 2 and prefixes is not None and prefix not in prefixes:
-            return
-        if len(prefix) == length:
-            yield prefix
-            return
-        for a in range(low, max_weight + 1):
-            yield from rec(prefix + (a,), a)
-
-    yield from rec((), 1)
+    """Non-decreasing weight tuples in lexicographic order, optionally
+    restricted to a set of (first, second) weight prefixes."""
+    weights = range(1, max_weight + 1)
+    if prefixes is None or length < 2:
+        return combinations_with_replacement(weights, length)
+    return ((a, b) + rest
+            for a, b in sorted(prefixes) if 1 <= a <= b <= max_weight
+            for rest in combinations_with_replacement(weights[b - 1:], length - 2))
 
 
 def _ambient_well_formed(ws: tuple[int, ...]) -> bool:
-    for i in range(len(ws)):
-        if gcd_many(ws[:i] + ws[i + 1:]) != 1:
-            return False
-    return True
+    """Every len(ws) - 1 of the weights are coprime.  When the first two are
+    coprime, only the subsets omitting one of them can fail."""
+    if gcd(ws[0], ws[1]) == 1:
+        return gcd(*ws[1:]) == 1 and gcd(ws[0], *ws[2:]) == 1
+    return all(gcd(*ws[:i], *ws[i + 1:]) == 1 for i in range(len(ws)))
 
 
-def _degree_splits(config: SearchConfig, total: int) -> Iterator[tuple[int, ...]]:
-    """Admissible sorted multidegrees for one weight tuple."""
+def _degree_splits(config: SearchConfig, ws: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Sorted multidegrees for one weight tuple (ambient well-formed) that pass
+    the amplitude/index filter, the linear-cone exclusion and intersection
+    well-formedness (Iano-Fletcher 6.10 / 6.12), by degree sum, then degrees.
+
+    With n + 1 weights and c degrees, every (n-1-c+mu)-subset gcd must divide
+    at least mu degrees, mu = 1..c.  At mu = c these are the (n-1)-subsets and
+    must divide every degree, so all degrees (and their sum) are multiples of
+    `step`, the lcm of those gcds.  At c = 2 the (n-2)-subset gcds must divide
+    one degree; those dividing `step` already divide both.
+    """
+    codim = config.codim
+    step = lcm(*{gcd(*sub) for sub in combinations(ws, len(ws) - 2)})
+    total = sum(ws)
     if config.index_filter is not None:
-        sums = [total - config.index_filter]
-        if sums[0] < 2 * config.codim:
-            return
+        lo = hi = total - config.index_filter
     elif config.amplitude_filter == FANO:
-        sums = list(range(2 * config.codim, total))
+        lo, hi = 2 * codim, total - 1
     elif config.amplitude_filter == CALABI_YAU:
-        sums = [total]
+        lo = hi = total
     else:
-        sums = list(range(2 * config.codim, total + 1))
-    if config.codim == 1:
+        lo, hi = 2 * codim, total
+    lo = max(lo, 2 * codim)
+    sums = range(-(-lo // step) * step, hi + 1, step)
+    cones = set(ws) if config.exclude_linear_cones else ()
+    if codim == 1:
         for s in sums:
-            yield (s,)
-    else:
-        for s in sums:
-            for d1 in range(2, s // 2 + 1):
-                yield (d1, s - d1)
+            if s not in cones:
+                yield (s,)
+        return
+    rest = [g for g in {gcd(*sub) for sub in combinations(ws, len(ws) - 3)} if step % g]
+    for s in sums:
+        # a g dividing s divides d1 exactly when it divides d2, so it joins
+        # the step; any other g leaves d1 = 0 or s (mod g)
+        s_step = lcm(step, *[g for g in rest if not s % g])
+        half = s // 2
+        d1s = set(range(max(s_step, 2), half + 1, s_step))
+        d1s.difference_update(cones, [s - a for a in cones])
+        for g in rest:
+            if s % g:
+                d1s.intersection_update({*range(g, half + 1, g),
+                                         *range(s % g, half + 1, g)})
+        for d1 in sorted(d1s):
+            yield (d1, s - d1)
 
 
 def iter_candidates(config: SearchConfig,
                     prefixes: Optional[set[tuple[int, int]]] = None
                     ) -> Iterator[WciDescriptor]:
     """Normalized descriptors passing every combinatorial filter, in
-    deterministic lexicographic order."""
-    length = config.tuple_length
-    for ws in _sorted_tuples(length, config.max_weight, prefixes):
+    deterministic order: weights lexicographically, then degree sum, then
+    degrees."""
+    quasi_smooth = qs_hypersurface_fast if config.codim == 1 else qs_ci2_fast
+    for ws in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
         if not _ambient_well_formed(ws):
             continue
-        total = sum(ws)
-        weight_set = set(ws)
-        pair_gcds = [gcd(a, b) for a, b in combinations(ws, 2)]
-        triple_gcds = [gcd_many(t) for t in combinations(ws, 3)]
-        masks: dict[tuple[int, ...], int] = {}
-        for degs in _degree_splits(config, total):
-            if config.exclude_linear_cones and any(d in weight_set for d in degs):
-                continue
-            if config.codim == 1:
-                d = degs[0]
-                # well-formedness: every (n-1)-subset gcd divides d
-                if any(d % g for g in pair_gcds if g > 1):
-                    continue
-                if not qs_hypersurface_fast(ws, d, masks):
-                    continue
-            else:
-                d1, d2 = degs
-                # mu = 2: every (n-1)-subset gcd divides both degrees
-                if any(d1 % g or d2 % g for g in triple_gcds if g > 1):
-                    continue
-                # mu = 1: every (n-2)-subset gcd divides at least one degree
-                if any(d1 % g and d2 % g for g in pair_gcds if g > 1):
-                    continue
-                if not qs_ci2_fast(ws, d1, d2, masks):
-                    continue
-            yield WciDescriptor.of(ws, degs)
+        masks: dict[tuple[int, ...], tuple[int, int]] = {}
+        for degs in _degree_splits(config, ws):
+            if quasi_smooth(ws, *degs, masks):
+                yield WciDescriptor.of(ws, degs)
 
 
 def run_search(config: SearchConfig,
@@ -204,12 +204,15 @@ def partition(config: SearchConfig, shard_count: int) -> list[set[tuple[int, int
 
 def _shard_worker(args) -> list[tuple[tuple, tuple]]:
     config, prefixes = args
-    return [(r.descriptor.weights, r.descriptor.multidegree)
-            for r in run_search(config, prefixes=prefixes)]
+    return [(d.weights, d.multidegree) for d in iter_candidates(config, prefixes)]
 
 
 def run_search_parallel(config: SearchConfig, jobs: int) -> list[CandidateRecord]:
-    """Sharded search; results merged and re-sorted, identical to a serial run."""
+    """Sharded search; results merged and re-sorted, identical to a serial run.
+    At most min(jobs, CPU count, prefix count) worker processes are started;
+    a single one means a serial run."""
+    prefix_count = config.max_weight * (config.max_weight + 1) // 2
+    jobs = min(jobs, os.cpu_count() or 1, prefix_count)
     if jobs <= 1:
         return run_search(config)
     import multiprocessing

@@ -67,18 +67,13 @@ def data_checksum() -> str:
     return hashlib.sha256(_data_bytes()).hexdigest()
 
 
-_cache: dict[str, list[FamilyRow]] = {}
+# verified rows with their index by (weight count, degree count), per data
+# source (the WFCI_DATA value, None for the packaged file): each source is
+# read and checksummed once per process
+_verified: dict[Optional[str], tuple[list[FamilyRow], dict[tuple[int, int], list[FamilyRow]]]] = {}
 
 
-def load_rows(verify_checksum: bool = True) -> list[FamilyRow]:
-    """Load (and cache) the 35 + 37 + 3 table rows."""
-    raw = _data_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if verify_checksum and digest != DATA_SHA256:
-        raise DataIntegrityError(
-            f"family table checksum mismatch: {digest} != {DATA_SHA256}")
-    if digest in _cache:
-        return _cache[digest]
+def _parse(raw: bytes) -> list[FamilyRow]:
     rows = []
     reader = csv.DictReader(raw.decode("utf-8").splitlines())
     for rec in reader:
@@ -91,8 +86,31 @@ def load_rows(verify_checksum: bool = True) -> list[FamilyRow]:
             tuple(int(x) for x in rec["degree_intercepts"].split(";")),
             rec["k_metadata"],
         ))
-    _cache[digest] = rows
     return rows
+
+
+def _verified_rows() -> tuple[list[FamilyRow], dict[tuple[int, int], list[FamilyRow]]]:
+    source = os.environ.get("WFCI_DATA") or None
+    hit = _verified.get(source)
+    if hit is None:
+        raw = _data_bytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        if digest != DATA_SHA256:
+            raise DataIntegrityError(
+                f"family table checksum mismatch: {digest} != {DATA_SHA256}")
+        rows = _parse(raw)
+        index: dict[tuple[int, int], list[FamilyRow]] = {}
+        for row in rows:
+            index.setdefault((len(row.weight_slopes), len(row.degree_slopes)), []).append(row)
+        hit = _verified[source] = (rows, index)
+    return hit
+
+
+def load_rows(verify_checksum: bool = True) -> list[FamilyRow]:
+    """The 35 + 37 + 3 table rows; verified rows are cached per data source."""
+    if verify_checksum:
+        return _verified_rows()[0]
+    return _parse(_data_bytes())
 
 
 def get_row(table_id: str, row_id: int) -> FamilyRow:
@@ -116,9 +134,7 @@ def match(desc: WciDescriptor) -> Optional[tuple[str, int, Optional[int]]]:
     """Reverse lookup: (table_id, row_id, n) whose instantiation equals the
     normalized descriptor, or None.  First match in table order wins."""
     ws, ds = desc.weights, desc.multidegree
-    for row in load_rows():
-        if len(row.weight_slopes) != len(ws) or len(row.degree_slopes) != len(ds):
-            continue
+    for row in _verified_rows()[1].get((len(ws), len(ds)), ()):
         if row.sporadic:
             if row.weight_intercepts == ws and row.degree_intercepts == ds:
                 return row.table_id, row.row_id, None

@@ -268,13 +268,25 @@ def _cached_mask(ws, sub, limit, masks):
     return entry[1]
 
 
+def _larger_subsets(n1: int):
+    for size in range(2, n1 + 1):
+        yield from combinations(range(n1), size)
+
+
 def qs_hypersurface_fast(ws: tuple[int, ...], d: int,
                          masks: dict[tuple[int, ...], tuple[int, int]]) -> bool:
-    """Witness-free hypersurface criterion; `masks` caches semigroup bitmasks
-    per index subset for one fixed weight tuple (keyed by the subset)."""
+    """Witness-free hypersurface criterion.  Singletons are decided by
+    residues (x_i^m has degree d exactly when a_i | d); larger subsets read
+    semigroup bitmasks, built on first use and cached in `masks` per index
+    subset for one fixed weight tuple."""
+    for a in ws:
+        # partners x_e of x_i^m in degree d: a_e <= d and a_i | d - a_e
+        # (no e = i qualifies, since a_i does not divide d)
+        if d % a and not any(b <= d and not (d - b) % a for b in ws):
+            return False
     n1 = len(ws)
     limit = max(d, sum(ws))
-    for sub in _nonempty_subsets(n1):
+    for sub in _larger_subsets(n1):
         mask = _cached_mask(ws, sub, limit, masks)
         if (mask >> d) & 1:
             continue
@@ -295,10 +307,23 @@ def qs_hypersurface_fast(ws: tuple[int, ...], d: int,
 
 def qs_ci2_fast(ws: tuple[int, ...], d1: int, d2: int,
                 masks: dict[tuple[int, ...], tuple[int, int]]) -> bool:
-    """Witness-free codimension-2 criterion with per-tuple mask cache."""
+    """Witness-free codimension-2 criterion: singletons by residues, larger
+    subsets by semigroup bitmasks built on first use (see the hypersurface
+    case).  A singleton with a monomial in either degree passes outright,
+    since it needs k - 1 = 0 partners for the other."""
+    for a in ws:
+        if d1 % a and d2 % a:
+            # partner weights, as in the hypersurface case; equal lists of
+            # one weight mean one partner index for both degrees
+            e1 = [b for b in ws if b <= d1 and not (d1 - b) % a]
+            if not e1:
+                return False
+            e2 = [b for b in ws if b <= d2 and not (d2 - b) % a]
+            if not e2 or e1 == e2 and len(e1) == 1:
+                return False
     n1 = len(ws)
     limit = max(d1, d2, sum(ws))
-    for sub in _nonempty_subsets(n1):
+    for sub in _larger_subsets(n1):
         mask = _cached_mask(ws, sub, limit, masks)
         k = len(sub)
         r1 = (mask >> d1) & 1

@@ -196,6 +196,40 @@ def test_enumerate_jobs_flag(tmp_path, capsys):
     assert serial.read_bytes() == sharded.read_bytes()
 
 
+@pytest.mark.parametrize("cpus,max_weight,processes", [(4, 5, 4), (64, 2, 3)])
+def test_enumerate_jobs_clamped(tmp_path, capsys, monkeypatch, cpus, max_weight, processes):
+    # the pool size is min(--jobs, CPU count, weight prefixes); a fake pool
+    # records it and maps in this process, so no worker is ever started
+    import multiprocessing
+    import os
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes=None):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    serial = tmp_path / "serial.jsonl"
+    sharded = tmp_path / "sharded.jsonl"
+    args = ["enumerate", "--dim", "2", "--codim", "2", "--index", "1",
+            "--max-weight", str(max_weight)]
+    assert main(args + ["--out", str(serial)]) == 0
+    assert main(args + ["--out", str(sharded), "--jobs", "1000000"]) == 0
+    capsys.readouterr()
+    assert asked == [processes]
+    assert serial.read_bytes() == sharded.read_bytes()
+
+
 def test_analyze_reports_defective_table_row(capsys):
     # row 16 at n = 3: table formulas match but the row is not well-formed
     code, out, _ = run(capsys, "analyze", "--weights", "7,78,117,172",

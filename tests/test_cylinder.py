@@ -128,7 +128,7 @@ def test_verdict_inconsistency_guard(monkeypatch):
     # cylindrical descriptor: the engine must refuse rather than pick a side
     from wfci import cylinder as cyl_mod
     fake = TableNonCyl("T2", 1, None)
-    monkeypatch.setattr(cyl_mod, "check_nonexistence", lambda d: fake)
+    monkeypatch.setattr(cyl_mod, "check_nonexistence", lambda d, hit=None: fake)
     with pytest.raises(ClassificationInconsistency):
         cyl_mod.verdict(desc((1, 1, 1, 1, 1), 2))
 

@@ -1,9 +1,13 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
-from wfci.search import (SearchConfig, partition, run_search,
+from wfci.search import (SearchConfig, iter_candidates, partition, run_search,
                          run_search_parallel, write_records)
+from wfci.wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
+                      well_formed_ci, CALABI_YAU, FANO)
+from wfci.wps import is_well_formed
 
 
 def keyset(records):
@@ -15,6 +19,36 @@ def test_config_validation():
         SearchConfig(dim=2, codim=3, max_weight=5)
     with pytest.raises(ValueError):
         SearchConfig(dim=0, codim=1, max_weight=5)
+
+
+def literal_candidates(config):
+    """Every sorted weight tuple and sorted multidegree (degrees >= 2, as the
+    search takes them), kept by the library's one-descriptor criteria, in the
+    search's order: weights, then degree sum, then degrees."""
+    out = []
+    for ws in combinations_with_replacement(range(1, config.max_weight + 1),
+                                            config.tuple_length):
+        if not is_well_formed(ws):
+            continue
+        for degs in combinations_with_replacement(range(2, sum(ws) + 1), config.codim):
+            desc = WciDescriptor.of(ws, degs)
+            if adjunction(desc).amplitude not in (FANO, CALABI_YAU):
+                continue
+            if linear_cone_flags(desc) or not well_formed_ci(desc):
+                continue
+            if general_qs(desc, witnesses=False).holds:
+                out.append((ws, degs))
+    return sorted(out, key=lambda key: (key[0], sum(key[1]), key[1]))
+
+
+@pytest.mark.parametrize("dim,codim,max_weight", [
+    (1, 1, 12), (1, 2, 9), (2, 1, 8), (2, 2, 6), (3, 1, 6), (3, 2, 5)])
+def test_iter_candidates_matches_literal_filter(dim, codim, max_weight):
+    # the well-formedness subset sizes depend on dim and codim; at dim 1 and
+    # dim 3 a filter hard-coding the dim-2 sizes keeps the wrong descriptors
+    cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight)
+    got = [(d.weights, d.multidegree) for d in iter_candidates(cfg)]
+    assert got == literal_candidates(cfg)
 
 
 def test_small_codim2_run_matches_tables():

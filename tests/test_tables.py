@@ -21,6 +21,34 @@ def test_checksum_guard(tmp_path, monkeypatch):
         tables.load_rows()
 
 
+def test_data_is_read_once_per_source(tmp_path, monkeypatch):
+    reads = []
+    real = tables._data_bytes
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(tables, "_data_bytes", counting)
+    monkeypatch.setattr(tables, "_verified", {})
+    t2_row2 = WciDescriptor.of((1, 2, 3, 4, 5), (6, 8))
+    for _ in range(3):
+        assert tables.match(t2_row2) == ("T2", 2, None)
+    assert len(reads) == 1
+    # another source is read and checked afresh
+    copy = tmp_path / "families.csv"
+    copy.write_bytes(real())
+    monkeypatch.setenv("WFCI_DATA", str(copy))
+    assert tables.match(t2_row2) == ("T2", 2, None)
+    assert len(tables.load_rows()) == 75
+    assert len(reads) == 2
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_bytes(b"table,row\nT9,1\n")
+    monkeypatch.setenv("WFCI_DATA", str(tampered))
+    with pytest.raises(tables.DataIntegrityError):
+        tables.match(t2_row2)
+
+
 def test_sporadic_rows_have_zero_slopes():
     for r in tables.load_rows():
         if r.table_id == "T2":

@@ -98,37 +98,71 @@ def test_qs_ci2_examples():
         general_qs_ci2(desc((1, 2, 3, 4), 6))
 
 
-def test_qs_hypersurface_matches_brute_force_sample():
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """Counts the semigroup_mask calls the fast paths make."""
+    import wfci.wci as wci_mod
+    real = wci_mod.semigroup_mask
+    calls = []
+
+    def counting(gens, limit):
+        calls.append((tuple(gens), limit))
+        return real(gens, limit)
+
+    monkeypatch.setattr(wci_mod, "semigroup_mask", counting)
+    return calls
+
+
+def test_qs_hypersurface_matches_brute_force_sample(mask_calls):
     rng = random.Random(606)
-    cases = 0
-    while cases < 300:
+    cases = small = 0
+    while cases < 300 or small < 100:
         n1 = rng.randrange(3, 7)
         ws = tuple(sorted(rng.randrange(1, 13) for _ in range(n1)))
-        d = rng.randrange(2, 61)
+        # every third case takes a degree below the largest weight, where a
+        # weight a_e > d must not count as a partner of a singleton
+        below = cases % 3 == 0 and ws[-1] > 2
+        d = rng.randrange(2, ws[-1]) if below else rng.randrange(2, 61)
         if d in ws:
             continue
+        mask_calls.clear()
         got = qs_hypersurface_fast(ws, d, {})
         expected = brute_qs_hypersurface(ws, d)
         assert got == expected, (ws, d)
         v = general_qs_hypersurface(desc(ws, (d,)), witnesses=False)
         assert v.holds == expected
+        if not v.holds and len(v.failing_subset) == 1:
+            assert not mask_calls, (ws, d)   # singletons are decided by residues
         cases += 1
+        small += below
 
 
-def test_qs_ci2_matches_brute_force_sample():
+def test_qs_ci2_matches_brute_force_sample(mask_calls):
     rng = random.Random(607)
     cases = 0
-    while cases < 200:
-        ws = tuple(sorted(rng.randrange(1, 10) for _ in range(5)))
-        d1 = rng.randrange(2, 30)
-        d2 = rng.randrange(d1, 31)
+    # (weights, d1, d2, holds): the singleton {3} of weight 3 has the residue
+    # partner a_4 = 5 for d1 = 2 (2 - 5 = -3), which a_4 > d1 rules out
+    fixed = [((1, 1, 1, 3, 5), 2, 10, False), ((1, 1, 3, 3, 5), 2, 10, False)]
+    while cases < 300:
+        if fixed:
+            ws, d1, d2, holds = fixed.pop()
+            assert brute_qs_ci2(ws, d1, d2) == holds
+        else:
+            ws = tuple(sorted(rng.randrange(1, 10) for _ in range(5)))
+            d1 = rng.randrange(2, ws[-1]) if cases % 3 == 0 and ws[-1] > 2 \
+                else rng.randrange(2, 30)
+            # every fourth case has equal degrees
+            d2 = d1 if cases % 4 == 1 else rng.randrange(d1, 31)
         if d1 in ws or d2 in ws:
             continue
+        mask_calls.clear()
         got = qs_ci2_fast(ws, d1, d2, {})
         expected = brute_qs_ci2(ws, d1, d2)
         assert got == expected, (ws, d1, d2)
         v = general_qs_ci2(desc(ws, (d1, d2)), witnesses=False)
         assert v.holds == expected
+        if not v.holds and len(v.failing_subset) == 1:
+            assert not mask_calls, (ws, d1, d2)   # singletons are decided by residues
         cases += 1
 
 
