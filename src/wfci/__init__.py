@@ -10,8 +10,8 @@ from .wps import (ChartDescription, NormalizationTrace, SingularStratum,
                   singular_strata, torus_chart, wps_cylinder)
 from .wci import (AdjunctionData, QsVerdict, WciDescriptor, adjunction,
                   general_qs, general_qs_ci2, general_qs_hypersurface,
-                  intersection_number, linear_cone_flags, well_formed_ci,
-                  well_formed_hypersurface)
+                  intersection_number, is_quasi_smooth, linear_cone_flags,
+                  well_formed_ci, well_formed_hypersurface)
 from .cylinder import (CylinderVerdict, NormalFormResult, check_codim2_projection,
                        check_codimc_generalized, check_nonexistence,
                        check_sum_of_two_weights, cylinder_chart, normal_form,

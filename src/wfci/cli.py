@@ -14,7 +14,7 @@ import sys
 from . import __version__, search, tables
 from .cylinder import NormalFormError, normal_form, verdict, wps_verdict
 from .poly import GradedPolynomial
-from .wci import WciDescriptor, adjunction, general_qs, linear_cone_flags, well_formed_ci
+from .wci import WciDescriptor, adjunction
 from .wps import is_well_formed, normalize, singular_strata
 
 EXIT_OK = 0
@@ -101,27 +101,23 @@ def _print_analysis(weights, degrees, fmt) -> int:
         v = wps_verdict(weights)
         doc["cylinder"] = v.to_json()
     else:
+        # every criterion is decided once, by the verdict
         desc = WciDescriptor.of(weights, degrees)
         adj = adjunction(desc)
-        qs = None
-        cones = linear_cone_flags(desc)
-        if not cones and desc.codim <= 2:
-            res = general_qs(desc)
-            qs = res.holds if res else None
+        v = verdict(desc)
+        hit = v.table_hit
         doc.update({
             "degrees": list(desc.multidegree),
-            "well_formed": well_formed_ci(desc),
-            "linear_cones": [list(f) for f in cones],
-            "quasi_smooth": qs,
+            "well_formed": v.flags["well_formed"],
+            "linear_cones": v.flags["linear_cones"],
+            "quasi_smooth": v.flags["quasi_smooth"],
             "canonical_coefficient": adj.canonical_coefficient,
             "amplitude": adj.amplitude,
             "fano_index": adj.fano_index,
-            "table_match": None,
-            "cylinder": verdict(desc).to_json(),
+            "table_match": None if hit is None else
+                {"table": hit[0], "row": hit[1], "n": hit[2]},
+            "cylinder": v.to_json(),
         })
-        hit = tables.match(desc)
-        if hit:
-            doc["table_match"] = {"table": hit[0], "row": hit[1], "n": hit[2]}
 
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -246,8 +242,17 @@ def cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
+# (build_parser, parser): the parser is made on the first call and reused
+# while build_parser is the same function, so rebinding build_parser takes effect
+_parser_cache: tuple = (None, None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser_cache
+    made_by, parser = _parser_cache
+    if made_by is not build_parser:
+        parser = build_parser()
+        _parser_cache = (build_parser, parser)
     args = parser.parse_args(argv)
     handler = {
         "analyze": cmd_analyze,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import tables
 from .poly import Coeff, GradedPolynomial, substitute
-from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
+from .wci import (WciDescriptor, adjunction, is_quasi_smooth, linear_cone_flags,
                   well_formed_ci, FANO)
 from .wps import (ChartDescription, WeightVector, WpsCylinder, is_well_formed,
                   normalize, torus_chart, wps_cylinder)
@@ -185,6 +185,10 @@ class CylinderVerdict:
     conjectural_prediction: Optional[bool] = None
     notes: tuple[str, ...] = ()
     flags: dict = field(default_factory=dict)
+    # tables.match of the descriptor judged, for callers that report it;
+    # not part of the verdict's JSON
+    table_hit: Optional[tuple[str, int, Optional[int]]] = field(default=None,
+                                                                compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -631,13 +635,13 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     if not ambient_wf:
         notes.append("ambient weights not well-formed: normalize first")
     cones = linear_cone_flags(desc)
-    qs_verdict = general_qs(desc, witnesses=False) if not cones else None
-    qs = qs_verdict.holds if qs_verdict is not None else None
+    qs = is_quasi_smooth(desc) if not cones else None
     flags = {"ambient_well_formed": ambient_wf, "well_formed": wf,
              "quasi_smooth": qs, "linear_cones": [list(f) for f in cones]}
+    hit = tables.match(desc)
 
     if cones:
-        return _linear_cone_verdict(desc, cones[0], notes, flags)
+        return _linear_cone_verdict(desc, cones[0], notes, flags, hit)
 
     constructive: Optional[tuple[object, tuple[str, ...]]] = None
     conditional: Optional[object] = None
@@ -660,7 +664,6 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
                          "follows if a general member is quasi-smooth, which "
                          "no criterion decides at codimension >= 3")
 
-    hit = tables.match(desc)
     table_cert = check_nonexistence(desc, hit)
     if table_cert is not None and not (wf and qs):
         notes.append("table row matched but well-formedness/quasi-smoothness "
@@ -688,14 +691,14 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     if constructive is not None:
         cert, cites = constructive
         return CylinderVerdict(CYLINDRICAL, cert, cites, conjectural,
-                               tuple(notes), flags)
+                               tuple(notes), flags, hit)
     if table_cert is not None:
         cites = _table_citations(table_cert)
         return CylinderVerdict(NOT_CYLINDRICAL, table_cert, cites, conjectural,
-                               tuple(notes), flags)
+                               tuple(notes), flags, hit)
     cites = (CIT_CODIMC,) if conditional is not None else ()
     return CylinderVerdict(UNKNOWN, conditional, cites, conjectural,
-                           tuple(notes), flags)
+                           tuple(notes), flags, hit)
 
 
 def _table_citations(cert: TableNonCyl) -> tuple[str, ...]:
@@ -705,7 +708,8 @@ def _table_citations(cert: TableNonCyl) -> tuple[str, ...]:
 
 
 def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
-                         notes: list[str], flags: dict) -> CylinderVerdict:
+                         notes: list[str], flags: dict,
+                         hit: Optional[tuple[str, int, Optional[int]]]) -> CylinderVerdict:
     """A degree equal to a weight lets the general member eliminate that
     variable: the variety is isomorphic to a complete intersection in the
     smaller space (the space itself in codimension 1), and the verdict is
@@ -719,17 +723,17 @@ def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
         cyl = wps_cylinder(ws)
         cert = LinearCone(j, i, ws, ds, WpsChart.from_cylinder(cyl))
         return CylinderVerdict(CYLINDRICAL, cert, (CIT_LINEAR_CONE, CIT_WPS_CHART),
-                               None, tuple(notes), flags)
+                               None, tuple(notes), flags, hit)
     inner = verdict(WciDescriptor.of(ws, ds))
     cert = LinearCone(j, i, ws, ds, inner.certificate)
     notes.extend(inner.notes)
     if inner.status == UNKNOWN:
         notes.append("reduction target undecided")
         return CylinderVerdict(UNKNOWN, cert, (CIT_LINEAR_CONE,), None,
-                               tuple(notes), flags)
+                               tuple(notes), flags, hit)
     return CylinderVerdict(inner.status, cert,
                            (CIT_LINEAR_CONE,) + inner.citations, None,
-                           tuple(notes), flags)
+                           tuple(notes), flags, hit)
 
 
 def wps_verdict(w) -> CylinderVerdict:

@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import cylinder, tables
+from . import cylinder
 from .wci import (WciDescriptor, adjunction, qs_ci2_fast, qs_hypersurface_fast,
                   FANO, CALABI_YAU)
 
@@ -42,6 +42,8 @@ class SearchConfig:
                              "criterion is available beyond codimension 2")
         if self.max_weight < 1:
             raise ValueError("max_weight must be >= 1")
+        if self.index_filter is not None and self.index_filter < 1:
+            raise ValueError("index must be >= 1: a Fano index is positive")
 
     @property
     def tuple_length(self) -> int:
@@ -182,7 +184,8 @@ def run_search(config: SearchConfig,
     """Materialize candidate records (descriptor + verdict + table match)."""
     records = []
     for desc in iter_candidates(config, prefixes):
-        rec = CandidateRecord(desc, cylinder.verdict(desc), tables.match(desc))
+        v = cylinder.verdict(desc)
+        rec = CandidateRecord(desc, v, v.table_hit)
         if sink is not None:
             sink(rec)
         records.append(rec)
@@ -224,8 +227,8 @@ def run_search_parallel(config: SearchConfig, jobs: int) -> list[CandidateRecord
     records = []
     for ws, degs in keys:
         desc = WciDescriptor.of(ws, degs)
-        records.append(CandidateRecord(desc, cylinder.verdict(desc),
-                                       tables.match(desc)))
+        v = cylinder.verdict(desc)
+        records.append(CandidateRecord(desc, v, v.table_hit))
     return records
 
 

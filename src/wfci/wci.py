@@ -349,3 +349,15 @@ def qs_ci2_fast(ws: tuple[int, ...], d1: int, d2: int,
             continue
         return False
     return True
+
+
+def is_quasi_smooth(desc: WciDescriptor) -> Optional[bool]:
+    """Witness-free quasi-smoothness of a general member that is not a linear
+    cone (the fast paths, with masks for this descriptor only); None when no
+    criterion is available (c >= 3).  general_qs decides the same question
+    and also gives the witnesses."""
+    if desc.codim == 1:
+        return qs_hypersurface_fast(desc.weights, desc.multidegree[0], {})
+    if desc.codim == 2:
+        return qs_ci2_fast(desc.weights, *desc.multidegree, {})
+    return None

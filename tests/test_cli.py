@@ -1,9 +1,14 @@
+import argparse
+import hashlib
 import json
+import random
 
 import pytest
 
+from wfci import cli, tables
 from wfci.cli import main
 from wfci.poly import GradedPolynomial, generic_member
+from wfci.wci import WciDescriptor, general_qs, linear_cone_flags, well_formed_ci
 
 
 def run(capsys, *argv):
@@ -238,3 +243,201 @@ def test_analyze_reports_defective_table_row(capsys):
     assert "well_formed: False" in out
     assert "'table': 'T1', 'row': 16" in out
     assert "cylinder status: Unknown" in out
+
+
+def _golden_calls():
+    """A fixed list of CLI calls, grouped: analyze inputs of every kind the
+    command meets (table rows, a_i + a_j hypersurfaces, projection-shaped
+    codimension 2 and 3, random inputs with linear cones, ambients that are
+    not well-formed, degrees below some weight, the space itself) in each
+    output format, then refused calls, --version and generated normal forms."""
+    rng = random.Random("wfci-golden-calls")
+    inputs = []
+    for k, row in enumerate(tables.load_rows()[::3]):
+        n = 1 if row.sporadic else 1 + k % 4
+        inputs.append((row.weights_at(n), row.degrees_at(n)))
+    for _ in range(35):
+        d = rng.randint(4, 40)
+        a = rng.randint(1, d - 1)
+        divisors = [k for k in range(1, d) if d % k == 0]
+        ws = [a, d - a] + [rng.choice(divisors) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(ws)
+        inputs.append((ws, [d]))
+    for _ in range(35):
+        d1 = rng.randint(4, 16)
+        d2 = d1 * rng.choice((1, 2))
+        a, b = rng.randint(1, d1 - 1), rng.randint(1, d1 - 1)
+        ws = [a, b, d1 - a, d1 - b, d2 - a, d2 - b, rng.randint(1, 6)]
+        degs = [d1, d2] + ([rng.randint(2, 2 * max(ws))] if rng.random() < 0.3 else [])
+        inputs.append((ws, degs))
+    for _ in range(40):
+        ws = [rng.randint(1, 20) for _ in range(rng.randint(4, 7))]
+        codim = rng.randint(1, min(3, len(ws) - 2))
+        degs = [rng.choice(ws) if rng.random() < 0.2 else rng.randint(2, 2 * max(ws))
+                for _ in range(codim)]
+        inputs.append((ws, degs))
+    for _ in range(25):
+        g = rng.choice((2, 3))
+        ws = [g * rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+        ws.append(rng.randint(1, 12))
+        codim = rng.randint(1, 2)
+        inputs.append((ws, [rng.randint(2, 30) for _ in range(codim)]))
+    for _ in range(20):
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))] + [rng.randint(20, 40)]
+        codim = rng.randint(1, 2)
+        inputs.append((ws, [rng.randint(2, 19) for _ in range(codim)]))
+    for _ in range(10):
+        inputs.append(([rng.randint(1, 12) for _ in range(rng.randint(2, 5))], []))
+
+    def analyze(ws, degs, fmt):
+        argv = ["analyze", "--weights", ",".join(map(str, ws)), "--format", fmt]
+        return argv + (["--degrees", ",".join(map(str, degs))] if degs else [])
+
+    other = [["analyze", "--weights", "1"],
+             ["analyze", "--weights", "1,1,1", "--degrees", "2,2"],
+             ["analyze", "--weights", "1,2,3", "--degrees", "0"],
+             ["analyze", "--weights", "not-numbers"],
+             ["analyze", "--degrees", "2"],
+             ["analyze", "--weights", "1,2,3", "--format", "xml"],
+             ["normal-form", "--weights", "1,1,2", "--pair", "0"],
+             ["normal-form", "--pair", "0,1"],
+             ["--version"],
+             []]
+    for _ in range(15):
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+        i, j = rng.sample(range(len(ws)), 2)
+        other.append(["normal-form", "--weights", ",".join(map(str, ws)),
+                      "--pair", f"{i},{j}", "--seed", str(rng.randrange(1000))])
+    return {"json": [analyze(ws, ds, "json") for ws, ds in inputs],
+            "text": [analyze(ws, ds, "text") for ws, ds in inputs],
+            "other": other}
+
+
+def _transcript_sha256(capsys, calls):
+    digest = hashlib.sha256()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out.out, out.err]).encode())
+    return digest.hexdigest()
+
+
+# recorded before analyze took every field from one verdict; any change to
+# these bytes is a change of the command-line contract
+GOLDEN_SHA256 = {
+    "json": "5efa711840673e8ffcf33b49e8af142d425a1d4b1e9906140ec2d9582fcfea62",
+    "text": "584ae8768d4825b63743934ea09b84c345d26316fc227080d2c47bfa32238b2a",
+    "other": "2049cfe2b2087795f7b4438a096c6ac731264c4ccb01d37943449770fda41975",
+}
+
+
+def test_golden_output_bytes(capsys, monkeypatch):
+    # exit codes, stdout and stderr of every call, hashed per group; the usage
+    # lines argparse prints on refusal wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = _golden_calls()
+    assert len(calls["json"]) >= 190
+    got = {group: _transcript_sha256(capsys, argvs) for group, argvs in calls.items()}
+    assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("index", ["0", "-1"])
+def test_enumerate_rejects_nonpositive_index(capsys, index):
+    code, _, err = run(capsys, "enumerate", "--dim", "2", "--codim", "1",
+                       "--index", index, "--max-weight", "6", "--out", "/dev/null")
+    assert code == 2
+    assert "index" in err
+
+
+def _oracle_sample():
+    """Seeded analyze inputs: table rows, codimension 1-3, linear cones,
+    ambients that are not well-formed and degrees below some weight."""
+    rng = random.Random("analyze-oracle")
+    rows = tables.load_rows()
+    out = []
+    while len(out) < 320:
+        kind = len(out) % 4
+        if kind == 0:
+            row = rng.choice(rows)
+            n = 1 if row.sporadic else rng.randint(1, 12)
+            ws, ds = list(row.weights_at(n)), list(row.degrees_at(n))
+        else:
+            ws = [rng.randint(1, 15) for _ in range(rng.randint(3, 7))]
+            if kind == 2:
+                # a shared factor on all weights but one: not well-formed
+                g = rng.choice((2, 3))
+                ws = [g * a for a in ws[:-1]] + ws[-1:]
+            codim = rng.randint(1, min(3, len(ws) - 2))
+            ds = [rng.choice(ws) if rng.random() < 0.2 else rng.randint(2, 2 * max(ws))
+                  for _ in range(codim)]
+        out.append((ws, ds))
+    return out
+
+
+def test_analyze_fields_match_independent_criteria(capsys):
+    seen = {"codim1": 0, "codim2": 0, "codim3": 0, "cone": 0, "ambient_not_wf": 0,
+            "degree_below_weight": 0, "table": 0, "qs_false": 0, "qs_true": 0}
+    for ws, ds in _oracle_sample():
+        code, out, _ = run(capsys, "analyze", "--weights", ",".join(map(str, ws)),
+                           "--degrees", ",".join(map(str, ds)), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        desc = WciDescriptor.of(ws, ds)
+        cones = linear_cone_flags(desc)
+        qs = None if cones else general_qs(desc)
+        hit = tables.match(desc)
+        assert doc["well_formed"] == well_formed_ci(desc), (ws, ds)
+        assert doc["quasi_smooth"] == (qs.holds if qs else None), (ws, ds)
+        assert doc["linear_cones"] == [list(f) for f in cones], (ws, ds)
+        assert doc["table_match"] == (None if hit is None else
+                                      {"table": hit[0], "row": hit[1], "n": hit[2]})
+        seen[f"codim{desc.codim}"] += 1
+        seen["cone"] += bool(cones)
+        seen["ambient_not_wf"] += not doc["ambient_well_formed"]
+        seen["degree_below_weight"] += min(ds) < max(ws)
+        seen["table"] += hit is not None
+        seen["qs_false"] += doc["quasi_smooth"] is False
+        seen["qs_true"] += doc["quasi_smooth"] is True
+    assert min(seen.values()) >= 10, seen
+
+
+def test_main_reuses_parser_and_honours_rebinding(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    good = ["analyze", "--weights", "1,2,3,4,5", "--degrees", "6,8"]
+    refused = ["analyze", "--weights", "not-numbers"]
+    sequence = [good, refused, good, ["--version"]]
+
+    def outputs(fresh_each_call):
+        got = []
+        for argv in sequence:
+            if fresh_each_call:
+                monkeypatch.setattr(cli, "_parser_cache", (None, None))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    reused = outputs(False)
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert reused == outputs(True)
+
+    built = []
+    real = cli.build_parser
+
+    def recording():
+        parser = real()
+        built.append(parser)
+        return parser
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert outputs(False) == reused
+    assert len(built) == 1                  # built once, then reused
+    monkeypatch.setattr(cli, "build_parser", lambda: argparse.ArgumentParser(prog="stub"))
+    with pytest.raises(SystemExit):
+        main(good)                          # the rebound build_parser is used
+    capsys.readouterr()

@@ -133,6 +133,29 @@ def test_verdict_inconsistency_guard(monkeypatch):
         cyl_mod.verdict(desc((1, 1, 1, 1, 1), 2))
 
 
+def test_verdict_carries_its_table_hit(monkeypatch):
+    # one tables.match per verdict; a linear cone carries the hit of the
+    # outer descriptor, not of its reduction target
+    from wfci import cylinder as cyl_mod
+    seen = []
+
+    def fake_match(d):
+        seen.append(d)
+        return ("T9", len(d.weights), None)
+    monkeypatch.setattr(cyl_mod.tables, "match", fake_match)
+    v = cyl_mod.verdict(desc((1, 2, 3, 4, 5), (6, 8)))
+    assert v.table_hit == ("T9", 5, None) and len(seen) == 1
+    seen.clear()
+    cone = cyl_mod.verdict(desc((1, 1, 2, 3, 4), (4, 6)))
+    assert cone.certificate.to_json()["kind"] == "LinearCone"
+    assert cone.table_hit == ("T9", 5, None) and len(seen) == 2
+    # the hit is not serialized and does not take part in equality
+    assert "table_hit" not in json.dumps(cone.to_json())
+    assert cone == cyl_mod.CylinderVerdict(cone.status, cone.certificate,
+                                           cone.citations, None, cone.notes,
+                                           cone.flags)
+
+
 def test_codimc_generalized_reduces_to_pair_search():
     rng = random.Random(21)
     for _ in range(150):

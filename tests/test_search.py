@@ -19,6 +19,9 @@ def test_config_validation():
         SearchConfig(dim=2, codim=3, max_weight=5)
     with pytest.raises(ValueError):
         SearchConfig(dim=0, codim=1, max_weight=5)
+    for index in (0, -1):
+        with pytest.raises(ValueError):
+            SearchConfig(dim=2, codim=1, max_weight=5, index_filter=index)
 
 
 def literal_candidates(config):
@@ -157,3 +160,38 @@ def test_record_json_shape():
             **schema["properties"], "cylinder": {"type": "object"}}})
         assert doc["fano_index"] == 1
         assert doc["amplitude"] == "Fano"
+
+
+def test_records_take_the_table_hit_from_the_verdict(monkeypatch):
+    # the sharded merge runs in this process through a stand-in pool
+    import multiprocessing
+    import os
+    from wfci import tables
+
+    class InProcessPool:
+        def __init__(self, processes=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+    real = tables.match
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+    monkeypatch.setattr(tables, "match", counting)
+    cfg = SearchConfig(dim=2, codim=2, max_weight=5, index_filter=1)
+    for search in (run_search, lambda c: run_search_parallel(c, jobs=2)):
+        records = search(cfg)
+        assert len(calls) == len(records) == 9   # one match per verdict
+        assert [r.table_hit for r in records] == [real(r.descriptor) for r in records]
+        calls.clear()

@@ -156,3 +156,16 @@ def test_verify_all_k_metadata_is_carried():
     row = tables.get_row("T1", 8)
     assert "n=2 3" in row.k_metadata and "unstable" in row.k_metadata
     assert tables.get_row("T2", 1).k_metadata == "-"
+
+
+def test_verify_all_names_the_failing_subset(monkeypatch):
+    # a well-formed Fano hypersurface that is not quasi-smooth, standing in for
+    # one sporadic row: the violation names the subset the criterion rejects
+    not_qs = WciDescriptor.of((1, 1, 1, 3), (2,))
+    real = tables.instantiate
+    monkeypatch.setattr(tables, "instantiate",
+                        lambda t, r, n=1: not_qs if (t, r) == ("T2", 5) else real(t, r, n))
+    report = tables.verify_all(1)
+    reasons = [v.reason for v in report.violations if (v.table_id, v.row_id) == ("T2", 5)]
+    assert reasons == ["general member not quasi-smooth (subset (3,))",
+                       "Fano index 4 != 1"]
