@@ -155,11 +155,7 @@ def cmd_verify_tables(args) -> int:
     if args.n_max < 1:
         print("error: --n-max must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = tables.verify_all(args.n_max)
-    except tables.DataIntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    report = tables.verify_all(args.n_max)
     print(f"checked {report.checked} instantiations "
           f"(35 + 37 + 3 rows, n <= {args.n_max})")
     for v in report.violations:
@@ -174,13 +170,11 @@ def cmd_enumerate(args) -> int:
         config = search.SearchConfig(
             dim=args.dim, codim=args.codim, max_weight=args.max_weight,
             index_filter=args.index, amplitude_filter=args.amplitude,
-            exclude_linear_cones=not args.include_linear_cones,
-            output_path=args.out)
+            exclude_linear_cones=not args.include_linear_cones)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = (search.run_search_parallel(config, args.jobs)
-               if args.jobs > 1 else search.run_search(config))
+    records = search.run_search_parallel(config, args.jobs)
     try:
         search.write_records(records, args.out, args.format)
     except OSError as exc:
@@ -260,7 +254,11 @@ def main(argv=None) -> int:
         "enumerate": cmd_enumerate,
         "normal-form": cmd_normal_form,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except tables.DataIntegrityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
-from . import tables
+from . import tables, wps
 from .poly import Coeff, GradedPolynomial, substitute
 from .wci import (WciDescriptor, adjunction, is_quasi_smooth, linear_cone_flags,
                   well_formed_ci, FANO)
@@ -217,45 +218,24 @@ def check_sum_of_two_weights(desc: WciDescriptor) -> Optional[tuple[int, int]]:
         raise ValueError("criterion needs codimension 1")
     if desc.ambient.n < 3:
         return None
-    pairs = weight_pairs(desc.weights, desc.multidegree[0])
-    return pairs[0] if pairs else None
+    cert = check_codimc_generalized(desc)
+    return None if cert is None else (cert.pivots[0], cert.partners[0][0])
 
 
 def check_codim2_projection(desc: WciDescriptor) -> Optional[Codim2Projection]:
     """Six distinct indices with d_1 = a_i + a_{i1} = a_j + a_{j1} and
-    d_2 = a_i + a_{i2} = a_j + a_{j2}; exhaustive ascending scan."""
+    d_2 = a_i + a_{i2} = a_j + a_{j2}; None below n = 6."""
     if desc.codim != 2:
         raise ValueError("criterion needs codimension 2")
-    if desc.ambient.n < 6:
-        return None
-    ws = desc.weights
-    d1, d2 = desc.multidegree
-    n1 = len(ws)
-    by_target_1 = [[k for k in range(n1) if k != p and ws[p] + ws[k] == d1]
-                   for p in range(n1)]
-    by_target_2 = [[k for k in range(n1) if k != p and ws[p] + ws[k] == d2]
-                   for p in range(n1)]
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            for i1 in by_target_1[i]:
-                if i1 == j:
-                    continue
-                for j1 in by_target_1[j]:
-                    if j1 in (i, i1):
-                        continue
-                    for i2 in by_target_2[i]:
-                        if i2 in (j, i1, j1):
-                            continue
-                        for j2 in by_target_2[j]:
-                            if j2 in (i, i1, j1, i2):
-                                continue
-                            return Codim2Projection(i, j, (i1, i2), (j1, j2))
-    return None
+    cert = check_codimc_generalized(desc)
+    return None if cert is None else Codim2Projection(*cert.pivots, *cert.partners)
 
 
 def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]:
     """Backtracking search for c pivots plus c^2 partners, all distinct, with
     d_j = a_{pivot_l} + a_{partner_{l,j}} for every degree j and pivot l.
+    Pivot tuples are tried in ascending order and partners degree-major, so
+    the witness is the first in that order (at c = 1 the first pair i < j).
     Requires n >= c(c+1); returns None below that arity."""
     c = desc.codim
     n = desc.ambient.n
@@ -266,30 +246,25 @@ def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]
     n1 = len(ws)
     candidates = [[[k for k in range(n1) if k != p and ws[p] + ws[k] == d]
                    for d in ds] for p in range(n1)]
+    # assignment slots ordered degree-major: (j, l) for j in degrees, l in pivots
+    slots = [(j, l) for j in range(c) for l in range(c)]
 
-    from itertools import combinations
-
-    def extend(pivots: tuple[int, ...], assignment: list[tuple[int, int]],
-               used: set[int], pos: int) -> Optional[list[int]]:
-        # assignment slots ordered degree-major: (j, l) for j in degrees, l in pivots
-        if pos == len(assignment):
+    def extend(pivots: tuple[int, ...], used: set[int], pos: int) -> Optional[list[int]]:
+        if pos == len(slots):
             return []
-        j, l = assignment[pos]
+        j, l = slots[pos]
         for k in candidates[pivots[l]][j]:
             if k in used:
                 continue
             used.add(k)
-            rest = extend(pivots, assignment, used, pos + 1)
+            rest = extend(pivots, used, pos + 1)
             if rest is not None:
                 return [k] + rest
             used.discard(k)
         return None
 
-    slots = [(j, l) for j in range(c) for l in range(c)]
-    for pivots in combinations(range(n1), c):
-        if any(not candidates[p][j] for p in pivots for j in range(c)):
-            continue
-        flat = extend(pivots, slots, set(pivots), 0)
+    for pivots in combinations([p for p in range(n1) if all(candidates[p])], c):
+        flat = extend(pivots, set(pivots), 0)
         if flat is not None:
             partners = tuple(tuple(flat[j * c + l] for j in range(c))
                              for l in range(c))
@@ -563,7 +538,7 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
     # proj is still ascending, so the trace keeps its order
     trace = normalize(WeightVector.of(proj))
     reduced = trace.reduced
-    subset = _smallest_coprime_subset(reduced, kept_pos)
+    subset = wps._first_coprime_subset(reduced, required=kept_pos)
     chart = torus_chart(reduced, subset)
 
     complement = tuple(to_original[p] for p in subset)
@@ -575,19 +550,6 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
     torus_rank = len(subset) - 1
     return HypersurfaceCylinder(nf.pair, kept, dropped, proj, reduced, chart,
                                 complement, polar, torus_rank, dim - torus_rank)
-
-
-def _smallest_coprime_subset(weights: tuple[int, ...], required: int) -> tuple[int, ...]:
-    from itertools import combinations
-    from .intarith import gcd_many
-    n = len(weights)
-    pool = [p for p in range(n) if p != required]
-    for size in range(1, n):
-        for extra in combinations(pool, size - 1):
-            idx = tuple(sorted((required,) + extra))
-            if gcd_many(tuple(weights[p] for p in idx)) == 1:
-                return idx
-    raise AssertionError("no proper coprime subset; weights not well-formed")
 
 
 # ---------------------------------------------------------------------------
@@ -643,26 +605,24 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     if cones:
         return _linear_cone_verdict(desc, cones[0], notes, flags, hit)
 
+    # one pivot-partner search serves every codimension; at c >= 3 qs is
+    # None, and a found assignment certifies nothing unconditionally
+    c = desc.codim
+    found = None
+    if wf and qs is not False and (c > 1 or desc.ambient.n >= 3):
+        found = check_codimc_generalized(desc)
     constructive: Optional[tuple[object, tuple[str, ...]]] = None
     conditional: Optional[object] = None
-    if wf and qs:
-        c, n = desc.codim, desc.ambient.n
-        if c == 1 and n >= 3:
-            pair = check_sum_of_two_weights(desc)
-            if pair is not None:
-                constructive = (SumOfTwoWeights(*pair), (CIT_SUM_OF_TWO,))
-        elif c == 2:
-            cert = check_codim2_projection(desc)
-            if cert is not None:
-                constructive = (cert, (CIT_CODIM2,))
-    elif wf and qs is None and desc.codim >= 3:
-        # no quasi-smoothness criterion exists at this codimension, so a
-        # found assignment certifies nothing unconditionally
-        conditional = check_codimc_generalized(desc)
-        if conditional is not None:
-            notes.append("multi-projection assignment found; cylindricity "
-                         "follows if a general member is quasi-smooth, which "
-                         "no criterion decides at codimension >= 3")
+    if found is not None and c == 1:
+        pair = SumOfTwoWeights(found.pivots[0], found.partners[0][0])
+        constructive = (pair, (CIT_SUM_OF_TWO,))
+    elif found is not None and c == 2:
+        constructive = (Codim2Projection(*found.pivots, *found.partners), (CIT_CODIM2,))
+    elif found is not None:
+        conditional = found
+        notes.append("multi-projection assignment found; cylindricity "
+                     "follows if a general member is quasi-smooth, which "
+                     "no criterion decides at codimension >= 3")
 
     table_cert = check_nonexistence(desc, hit)
     if table_cert is not None and not (wf and qs):
@@ -683,9 +643,9 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
                      "statement applies at this parameter")
 
     conjectural = None
-    if desc.codim == 1 and desc.ambient.n == 3 and wf and qs \
+    if c == 1 and desc.ambient.n == 3 and wf and qs \
             and adjunction(desc).amplitude == FANO:
-        conjectural = bool(weight_pairs(desc.weights, desc.multidegree[0]))
+        conjectural = constructive is not None
         notes.append(CIT_CONJECTURE)
 
     if constructive is not None:

@@ -38,6 +38,26 @@ def lcm_many(values: Sequence[int]) -> int:
     return m
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of a positive integer by trial division, as
+    (prime, exponent) pairs in ascending order of the prime."""
+    if n < 1:
+        raise ValueError("value must be positive")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
     old_r, r = a, b

@@ -18,27 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .intarith import factorize
+
 
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = u**2 * m with m square-free (sign kept on m); returns (u, m)."""
     if n == 0:
         return 0, 1
-    sign = -1 if n < 0 else 1
-    n = abs(n)
     u, m = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            u *= p ** (e // 2)
-            if e % 2:
-                m *= p
-        p += 1 if p == 2 else 2
-    m *= n
-    return u, sign * m
+    for p, e in factorize(abs(n)):
+        u *= p ** (e // 2)
+        if e % 2:
+            m *= p
+    return u, m if n > 0 else -m
 
 
 @dataclass(frozen=True)

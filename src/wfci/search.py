@@ -32,7 +32,6 @@ class SearchConfig:
     index_filter: Optional[int] = None
     amplitude_filter: Optional[str] = None
     exclude_linear_cones: bool = True
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         if self.dim < 1:

@@ -106,11 +106,9 @@ def _verified_rows() -> tuple[list[FamilyRow], dict[tuple[int, int], list[Family
     return hit
 
 
-def load_rows(verify_checksum: bool = True) -> list[FamilyRow]:
+def load_rows() -> list[FamilyRow]:
     """The 35 + 37 + 3 table rows; verified rows are cached per data source."""
-    if verify_checksum:
-        return _verified_rows()[0]
-    return _parse(_data_bytes())
+    return _verified_rows()[0]
 
 
 def get_row(table_id: str, row_id: int) -> FamilyRow:

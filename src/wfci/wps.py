@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .intarith import bezout, gcd_many, lcm_many, mat_det, mat_inverse_unimodular, unimodular_complete
+from .intarith import (bezout, factorize, gcd_many, lcm_many, mat_det,
+                       mat_inverse_unimodular, unimodular_complete)
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,7 @@ def singular_strata(w) -> list[SingularStratum]:
     w = WeightVector.of(w)
     if not is_well_formed(w):
         raise ValueError("normalize first")
-    primes = set()
-    for a in w.weights:
-        v, p = a, 2
-        while p * p <= v:
-            if v % p == 0:
-                primes.add(p)
-                while v % p == 0:
-                    v //= p
-            p += 1 if p == 2 else 2
-        if v > 1:
-            primes.add(v)
+    primes = {p for a in w.weights for p, _ in factorize(a)}
     candidate_sets = {frozenset(i for i, a in enumerate(w.weights) if a % p == 0)
                       for p in primes}
     candidate_sets.discard(frozenset())

@@ -9,7 +9,7 @@ point counting with finite differences.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 _dfs_memo: dict[tuple, bool] = {}
@@ -94,6 +94,23 @@ def brute_qs_ci2(ws: tuple[int, ...], d1: int, d2: int) -> bool:
             if not ok:
                 return False
     return True
+
+
+def literal_codim3_assignment(ws, ds):
+    """First codimension-3 multi-projection assignment, from the definition:
+    pivot triples in combinations order; for each, the nine slots (degree j,
+    pivot l) degree-major, each ranging over the indices k with
+    a_pivot + a_k = d_j, and the first tuple of itertools.product over the
+    slots whose twelve indices, pivots included, are all distinct.
+    Returns (pivots, partners) with partners[l][j], or None."""
+    n1 = len(ws)
+    for pivots in combinations(range(n1), 3):
+        slots = [[k for k in range(n1) if ws[p] + ws[k] == d]
+                 for d in ds for p in pivots]
+        for flat in product(*slots):
+            if len(set(pivots + flat)) == 12:
+                return pivots, tuple(flat[l::3] for l in range(3))
+    return None
 
 
 def hilbert_dim(weights, m: int) -> int:

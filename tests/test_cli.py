@@ -89,6 +89,23 @@ def test_verify_tables_checksum_gate(tmp_path, monkeypatch, capsys):
     assert "checksum" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-tables", "--n-max", "1"),
+    ("analyze", "--weights", "1,2,3,4,5", "--degrees", "6,8"),
+    ("enumerate", "--dim", "2", "--codim", "1", "--index", "1",
+     "--max-weight", "6", "--out", "OUT"),
+])
+def test_corrupt_table_data_exits_3(tmp_path, monkeypatch, capsys, argv):
+    bad = tmp_path / "families.csv"
+    bad.write_text("table,row\n")
+    monkeypatch.setenv("WFCI_DATA", str(bad))
+    out = tmp_path / "records.jsonl"
+    code, _, err = run(capsys, *(str(out) if a == "OUT" else a for a in argv))
+    assert code == 3
+    assert err.startswith("error: family table checksum mismatch")
+    assert not out.exists()
+
+
 def test_enumerate_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

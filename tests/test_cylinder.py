@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,8 @@ from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
                            wps_verdict)
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor
+
+from oracles import literal_codim3_assignment
 
 
 def desc(ws, ds):
@@ -163,11 +166,11 @@ def test_codimc_generalized_reduces_to_pair_search():
         d = rng.randrange(2, 30)
         dd = desc(ws, (d,))
         got = check_codimc_generalized(dd)
-        pair = check_sum_of_two_weights(dd)
+        pairs = weight_pairs(ws, d)
         if got is None:
-            assert pair is None
+            assert pairs == []
         else:
-            assert pair == (got.pivots[0], got.partners[0][0])
+            assert (got.pivots[0], got.partners[0][0]) == pairs[0]
             assert got.recheck(dd)
 
 
@@ -179,16 +182,48 @@ def test_codimc_generalized_matches_codim2():
         d1 = rng.randrange(2, 17)
         d2 = rng.randrange(d1, 17)
         dd = desc(ws, (d1, d2))
-        a = check_codim2_projection(dd)
-        b = check_codimc_generalized(dd)
-        if a is None:
-            assert b is None
+        got = check_codimc_generalized(dd)
+        naive = _naive_codim2_scan(ws, d1, d2)
+        if naive is None:
+            assert got is None
         else:
-            assert b is not None and b.recheck(dd)
-            assert a.recheck(dd)
-            assert (a.pivot_a, a.pivot_b) == b.pivots
-            assert (a.partners_a, a.partners_b) == b.partners
+            i, j, i1, j1, i2, j2 = naive
+            assert got == CodimCGeneralized((i, j), ((i1, i2), (j1, j2)))
+            assert got.recheck(dd)
+            assert check_codim2_projection(dd) == Codim2Projection(
+                i, j, (i1, i2), (j1, j2))
         checked += 1
+
+
+def _codim3_sample(rng, planted):
+    """13 to 16 weights.  A planted input holds pivots and partners for all
+    three degrees, so it has an assignment; repeated weights give slots more
+    than one candidate, which the search must back out of."""
+    if planted:
+        pivots = rng.sample(range(1, 7), 3)
+        ds = rng.sample(range(8, 24), 3)
+        ws = pivots + [d - p for d in ds for p in pivots]
+    else:
+        ws = rng.sample(range(1, 40), rng.randrange(12, 14))
+        ds = rng.sample(range(3, 60), 3)
+    return desc(ws + rng.sample(ws, rng.randrange(1, 4)), ds)
+
+
+def test_codimc_generalized_matches_literal_codim3_oracle():
+    rng = random.Random(33)
+    hits = 0
+    for k in range(120):
+        dd = _codim3_sample(rng, k % 2)
+        assert len(dd.weights) >= 13
+        got = check_codimc_generalized(dd)
+        literal = literal_codim3_assignment(dd.weights, dd.multidegree)
+        if literal is None:
+            assert got is None
+        else:
+            hits += 1
+            assert got == CodimCGeneralized(*literal)
+            assert got.recheck(dd)
+    assert hits >= 60
 
 
 def test_codimc_generalized_c3_golden():
@@ -443,3 +478,64 @@ def test_verdict_json_schema():
     for d in [desc((1, 1, 1, 1, 1), 2), desc((1, 7, 12, 18), 36),
               desc((1, 2, 3, 4, 5), (6, 8)), desc((1, 1, 1, 2), 2)]:
         jsonschema.validate(verdict(d).to_json(), schema)
+
+
+# --- verdict golden bytes ----------------------------------------------------
+
+def _planted(rng, c, extra):
+    """Weights holding c pivots and, for each degree, a partner of every
+    pivot (the projection shape), plus `extra` random weights."""
+    pivots = [rng.randrange(1, 4) for _ in range(c)]
+    ds = [max(pivots) + rng.randrange(1, 5) for _ in range(c)]
+    ws = pivots + [d - p for d in ds for p in pivots]
+    ws += [rng.choice((1, 1, 2, 3, 5)) for _ in range(extra)]
+    return desc(ws, ds)
+
+
+def _verdict_golden_sample():
+    """Deterministic descriptors reaching every certificate kind: table
+    instantiations, sum-of-two and projection-shaped inputs, random inputs
+    (linear cones among them) and P^12 with degrees (2, 2, 2)."""
+    rng = random.Random(2718)
+    out = [tables.instantiate(row.table_id, row.row_id, n)
+           for row in tables.load_rows()
+           for n in ([1] if row.sporadic else range(1, 9))]
+    for _ in range(400):
+        ws = [rng.choice((1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 11))
+              for _ in range(rng.choice([4, 4, 5, 6]))]
+        i, j = rng.sample(range(len(ws)), 2)
+        out.append(desc(ws, (ws[i] + ws[j],)))
+    for c, count in ((2, 200), (3, 60)):
+        for _ in range(count):
+            out.append(_planted(rng, c, rng.choice((0, 1))))
+    for _ in range(400):
+        c = rng.choice([1, 1, 2, 2, 3])
+        ws = [rng.randrange(1, 10) for _ in range(rng.randrange(c + 3, c + 8))]
+        out.append(desc(ws, [rng.randrange(1, 20) for _ in range(c)]))
+    out.append(desc((1,) * 13, (2, 2, 2)))
+    return out
+
+
+# sha256 of the sorted-key verdict JSON lines of the sample, recorded before
+# the certificate searches were folded into one
+VERDICT_GOLDEN_SHA256 = "d847e720708f2514048d79918c212eea3eb773f0c196ad8eb3775ce9bd3d015c"
+
+
+def test_verdict_golden_bytes():
+    sample = _verdict_golden_sample()
+    lines = []
+    kinds = set()
+    conjectural = set()
+    for d in sample:
+        doc = verdict(d).to_json()
+        lines.append(json.dumps(doc, sort_keys=True))
+        cert = doc["certificate"]
+        kinds.add((cert and cert["kind"], doc["status"]))
+        conjectural.add((cert and cert["kind"], doc["conjectural"]))
+    assert {("SumOfTwoWeights", CYLINDRICAL), ("Codim2Projection", CYLINDRICAL),
+            ("CodimCGeneralized", UNKNOWN), ("LinearCone", CYLINDRICAL),
+            ("TableNonCyl", NOT_CYLINDRICAL), (None, UNKNOWN)} <= kinds
+    assert ("SumOfTwoWeights", True) in conjectural
+    assert {c for _, c in conjectural} == {True, False, None}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERDICT_GOLDEN_SHA256, (len(sample), digest)

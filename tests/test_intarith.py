@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from wfci.intarith import (bezout, ext_gcd, gcd_many, is_primitive, lcm_many,
-                           mat_det, mat_inverse_unimodular, unimodular_complete)
+from wfci.intarith import (bezout, ext_gcd, factorize, gcd_many, is_primitive,
+                           lcm_many, mat_det, mat_inverse_unimodular,
+                           unimodular_complete)
 
 
 def test_gcd_many_examples():
@@ -43,6 +44,21 @@ def test_bezout_identity_random():
         g, coeffs = bezout(values)
         assert g == gcd_many(values)
         assert sum(a * b for a, b in zip(values, coeffs)) == g
+
+
+def test_factorize():
+    assert factorize(1) == []
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(97) == [(97, 1)]
+    for n in range(1, 2000):
+        fs = factorize(n)
+        prod = 1
+        for p, e in fs:
+            assert e >= 1 and all(p % q for q in range(2, p))
+            prod *= p ** e
+        assert prod == n and [p for p, _ in fs] == sorted({p for p, _ in fs})
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_ext_gcd_signs():
