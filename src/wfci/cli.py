@@ -259,6 +259,10 @@ def main(argv=None) -> int:
     except tables.DataIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        # an unreadable data source (WFCI_DATA), from any command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

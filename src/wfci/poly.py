@@ -8,7 +8,10 @@ dict, as usual for sparse multivariate arithmetic.
 The representability helpers (`representable`, `eligible_partners`) answer
 "does a monomial of weighted degree d supported on an index set exist", which
 is the arithmetic core of the quasi-smoothness criteria of Iano-Fletcher
-("Working with weighted complete intersections", Thm 8.1 / 8.7).
+("Working with weighted complete intersections", Thm 8.1 / 8.7).  That is
+numerical-semigroup membership, and `semigroup_mask` is its one DP, read by
+both helpers and by the witness-free fast paths of `wci`.  Likewise the
+`GradedPolynomial` constructor is the one place that merges like terms.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .intarith import factorize
@@ -153,11 +157,15 @@ class GradedPolynomial:
             coeff = Coeff.of(coeff)
             if coeff.is_zero:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if weighted_degree(exps, self.weights) != self.degree:
-                raise ValueError(f"term {exps} breaks quasi-homogeneity of degree {self.degree}")
-            if exps in table:
-                coeff = table[exps] + coeff
+            exps = tuple(map(int, exps))
+            acc = table.get(exps)
+            if acc is None:
+                # a new exponent; a repeated one has passed this check
+                if weighted_degree(exps, self.weights) != self.degree:
+                    raise ValueError(f"term {exps} breaks quasi-homogeneity of degree {self.degree}")
+                table[exps] = coeff
+                continue
+            coeff = acc + coeff
             if coeff.is_zero:
                 del table[exps]
             else:
@@ -177,12 +185,6 @@ class GradedPolynomial:
     def involves(self, i: int) -> bool:
         return any(e[i] for e in self.terms)
 
-    def support_vars(self) -> frozenset[int]:
-        out = set()
-        for e in self.terms:
-            out.update(k for k, v in enumerate(e) if v)
-        return frozenset(out)
-
     def scale(self, factor) -> "GradedPolynomial":
         factor = Coeff.of(factor)
         return GradedPolynomial(
@@ -192,14 +194,8 @@ class GradedPolynomial:
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         if self.weights != other.weights or self.degree != other.degree:
             raise ValueError("cannot add polynomials of different grading")
-        table = dict(self.terms)
-        for e, c in other.terms.items():
-            s = table.get(e, Coeff(Fraction(0))) + c
-            if s.is_zero:
-                table.pop(e, None)
-            else:
-                table[e] = s
-        return GradedPolynomial(self.weights, self.degree, table)
+        return GradedPolynomial(self.weights, self.degree,
+                                chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + other.scale(-1)
@@ -243,18 +239,10 @@ def poly_mul(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
     """Product of two graded polynomials (degrees add)."""
     if p.weights != q.weights:
         raise ValueError("weight mismatch")
-    table: dict[tuple, Coeff] = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            prod = c1 * c2
-            acc = table.get(e)
-            s = prod if acc is None else acc + prod
-            if s.is_zero:
-                table.pop(e, None)
-            else:
-                table[e] = s
-    return GradedPolynomial(p.weights, p.degree + q.degree, table)
+    return GradedPolynomial(p.weights, p.degree + q.degree,
+                            ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                             for e1, c1 in p.terms.items()
+                             for e2, c2 in q.terms.items()))
 
 
 def poly_pow(p: GradedPolynomial, k: int) -> GradedPolynomial:
@@ -274,7 +262,7 @@ def semigroup_mask(gens: Sequence[int], limit: int) -> int:
     """Bitmask whose bit d says that d is a nonnegative combination of gens.
 
     Classic coin-problem DP packed into a Python integer; bit 0 (the empty
-    combination) is always set.
+    combination) is always set.  This is the one membership DP of the package.
     """
     full = (1 << (limit + 1)) - 1
     mask = 1
@@ -302,45 +290,34 @@ def representable(weights: Sequence[int], subset: Iterable[int], d: int) -> Opti
     if any(i < 0 or i >= len(weights) for i in idx):
         raise ValueError("subset index out of range")
     gens = [weights[i] for i in idx]
-    # feasibility of each suffix, then a greedy smallest-first reconstruction
-    k = len(gens)
-    suffix = [0] * (k + 1)
-    suffix[k] = 1  # only degree 0
-    for pos in range(k - 1, -1, -1):
-        full = (1 << (d + 1)) - 1
-        m = suffix[pos + 1]
-        a = gens[pos]
-        prev = -1
-        while prev != m:
-            prev = m
-            m |= (m << a) & full
-        suffix[pos] = m
-    if not (suffix[0] >> d) & 1:
+    if not (semigroup_mask(gens, d) >> d) & 1:
         return None
+    # greedy smallest-first reconstruction: the smallest exponent whose
+    # remainder the later weights still reach
     exps = [0] * len(weights)
     remaining = d
     for pos, i in enumerate(idx):
         a = gens[pos]
+        suffix = semigroup_mask(gens[pos + 1:], remaining)
         e = 0
-        while not (suffix[pos + 1] >> (remaining - e * a)) & 1:
+        while not (suffix >> (remaining - e * a)) & 1:
             e += 1
         exps[i] = e
         remaining -= e * a
-    assert remaining == 0
     return tuple(exps)
 
 
 def eligible_partners(weights: Sequence[int], subset: Iterable[int], d: int) -> tuple[int, ...]:
     """Indices e outside `subset` admitting a monomial (on the subset) of
     degree d - a_e; degree 0 counts via the empty monomial."""
+    if d < 0:
+        return ()
     inside = set(subset)
-    out = []
-    for e, a in enumerate(weights):
-        if e in inside:
-            continue
-        if d - a >= 0 and representable(weights, inside, d - a) is not None:
-            out.append(e)
-    return tuple(out)
+    if any(i < 0 or i >= len(weights) for i in inside):
+        raise ValueError("subset index out of range")
+    mask = semigroup_mask([weights[i] for i in sorted(inside)], d)
+    return tuple(e for e, a in enumerate(weights)
+                 if e not in inside and a <= d and (mask >> (d - a)) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +343,21 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
         if head != ONE or any(e[i] for e in rest):
             raise ValueError("replacement must avoid the variable or be "
                              "x_i plus terms without it")
-    table: dict[tuple, Coeff] = {}
-    powers: dict[int, GradedPolynomial] = {}
-    for exps, coeff in p.terms.items():
-        e_i = exps[i]
-        if e_i == 0:
-            acc = table.get(exps)
-            s = coeff if acc is None else acc + coeff
-            if s.is_zero:
-                table.pop(exps, None)
-            else:
-                table[exps] = s
-            continue
-        if e_i not in powers:
-            powers[e_i] = poly_pow(replacement, e_i)
-        stripped = tuple(0 if k == i else e for k, e in enumerate(exps))
-        for rexps, rcoeff in powers[e_i].terms.items():
-            e = tuple(a + b for a, b in zip(stripped, rexps))
-            prod = coeff * rcoeff
-            acc = table.get(e)
-            s = prod if acc is None else acc + prod
-            if s.is_zero:
-                table.pop(e, None)
-            else:
-                table[e] = s
-    return GradedPolynomial(p.weights, p.degree, table)
+
+    def expanded():
+        powers: dict[int, GradedPolynomial] = {}
+        for exps, coeff in p.terms.items():
+            e_i = exps[i]
+            if e_i == 0:
+                yield exps, coeff
+                continue
+            if e_i not in powers:
+                powers[e_i] = poly_pow(replacement, e_i)
+            stripped = tuple(0 if k == i else e for k, e in enumerate(exps))
+            for rexps, rcoeff in powers[e_i].terms.items():
+                yield tuple(a + b for a, b in zip(stripped, rexps)), coeff * rcoeff
+
+    return GradedPolynomial(p.weights, p.degree, expanded())
 
 
 def monomials_of_degree(weights: Sequence[int], d: int,

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import cylinder
 from .wci import (WciDescriptor, adjunction, qs_ci2_fast, qs_hypersurface_fast,
@@ -178,16 +178,12 @@ def iter_candidates(config: SearchConfig,
 
 
 def run_search(config: SearchConfig,
-               sink: Optional[Callable[[CandidateRecord], None]] = None,
                prefixes: Optional[set[tuple[int, int]]] = None) -> list[CandidateRecord]:
     """Materialize candidate records (descriptor + verdict + table match)."""
     records = []
     for desc in iter_candidates(config, prefixes):
         v = cylinder.verdict(desc)
-        rec = CandidateRecord(desc, v, v.table_hit)
-        if sink is not None:
-            sink(rec)
-        records.append(rec)
+        records.append(CandidateRecord(desc, v, v.table_hit))
     return records
 
 

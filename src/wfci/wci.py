@@ -75,12 +75,8 @@ def well_formed_ci(desc: WciDescriptor) -> bool:
         return False
     n, c = desc.ambient.n, desc.codim
     for mu in range(1, c + 1):
-        size = n - 1 - c + mu
-        if size < 1:
-            continue
-        if size > len(ws):
-            return False
-        for sub in combinations(ws, size):
+        # the descriptor's 1 <= c <= n - 1 keeps the subset size in 1..n-1
+        for sub in combinations(ws, n - 1 - c + mu):
             g = gcd_many(sub)
             if g == 1:
                 continue

@@ -247,7 +247,7 @@ def _first_coprime_subset(ws: tuple[int, ...], required: int | None = None) -> t
     raise AssertionError("well-formed weights admit a proper coprime subset")
 
 
-def wps_cylinder(w, require_index: int | None = None) -> WpsCylinder:
+def wps_cylinder(w) -> WpsCylinder:
     """An anti-canonically polar cylinder chart in a weighted projective space.
 
     Normalizes first, then picks the smallest coprime coordinate subset (so a
@@ -258,7 +258,7 @@ def wps_cylinder(w, require_index: int | None = None) -> WpsCylinder:
     """
     trace = normalize(w)
     ws = trace.output.weights
-    idx = _first_coprime_subset(ws, required=require_index)
+    idx = _first_coprime_subset(ws)
     chart = torus_chart(trace.output, idx)
     total = sum(ws)
     mults = tuple((i, Fraction(total, len(idx) * ws[i])) for i in idx)

@@ -106,6 +106,26 @@ def test_corrupt_table_data_exits_3(tmp_path, monkeypatch, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("verify-tables", "--n-max", "1"),
+    ("analyze", "--weights", "1,2,3,4,5", "--degrees", "6,8"),
+    ("enumerate", "--dim", "2", "--codim", "1", "--index", "1",
+     "--max-weight", "6", "--out", "OUT"),
+])
+def test_unreadable_table_data_exits_4(tmp_path, monkeypatch, capsys, argv, data):
+    source = tmp_path / "families.csv"
+    if data == "directory":
+        source.mkdir()
+    monkeypatch.setenv("WFCI_DATA", str(source))
+    out = tmp_path / "records.jsonl"
+    code, _, err = run(capsys, *(str(out) if a == "OUT" else a for a in argv))
+    assert code == 4
+    assert err.startswith("error: ") and str(source) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_enumerate_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

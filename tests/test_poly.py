@@ -8,7 +8,7 @@ from wfci.poly import (Coeff, GradedPolynomial, eligible_partners,
                        representable, semigroup_mask, substitute,
                        weighted_degree)
 
-from oracles import dfs_representable
+from oracles import brute_partners, dfs_representable
 
 
 # --- coefficients ---------------------------------------------------------
@@ -81,6 +81,8 @@ def test_representable_matches_dfs_oracle():
         if mono is not None:
             assert weighted_degree(mono, ws) == d
             assert all(e == 0 for i, e in enumerate(mono) if i not in subset)
+        partners = eligible_partners(ws, subset, d)
+        assert partners == tuple(sorted(brute_partners(ws, subset, d)))
 
 
 def test_representable_is_lex_smallest():
@@ -105,6 +107,10 @@ def test_eligible_partners_examples():
     assert eligible_partners((2, 3, 4, 5), (3,), 12) == (0,)
     # degree equal to a weight: the empty monomial on the subset is allowed
     assert 2 in eligible_partners((1, 1, 5), (0,), 5)
+    assert eligible_partners((1, 2, 3), (), 3) == (2,)
+    assert eligible_partners((1, 2, 3), (0,), -1) == ()
+    with pytest.raises(ValueError):
+        eligible_partners((1, 2, 3), (0, 3), 9)
 
 
 # --- polynomials ----------------------------------------------------------
@@ -117,6 +123,11 @@ def test_graded_polynomial_rejects_mixed_degrees():
 def test_zero_coefficients_dropped():
     p = GradedPolynomial((1, 1), 2, {(2, 0): 0, (1, 1): 1})
     assert list(p.terms) == [(1, 1)]
+    # repeated exponents merge, and a cancelling pair vanishes
+    q = GradedPolynomial((1, 1), 2, [((2, 0), 1), ((1, 1), 3), ((2, 0), 2),
+                                     ((0, 2), 5), ((0, 2), -5)])
+    assert q.terms == {(2, 0): Coeff(Fraction(3)), (1, 1): Coeff(Fraction(3))}
+    assert (p - p).terms == {}
 
 
 def test_substitute_examples():
@@ -180,6 +191,11 @@ def test_poly_mul_degree_and_values():
     assert q.coefficient((4, 0)) == Coeff(Fraction(4))
     assert q.coefficient((2, 1)) == Coeff(Fraction(12))
     assert q.coefficient((0, 2)) == Coeff(Fraction(9))
+    # (x0 + x1)(x0 - x1): the cross terms cancel
+    s = GradedPolynomial((1, 1), 1, {(1, 0): 1, (0, 1): 1})
+    t = GradedPolynomial((1, 1), 1, {(1, 0): 1, (0, 1): -1})
+    assert poly_mul(s, t).terms == {(2, 0): Coeff(Fraction(1)),
+                                    (0, 2): Coeff(Fraction(-1))}
 
 
 def test_json_round_trip():

@@ -54,6 +54,19 @@ def test_iter_candidates_matches_literal_filter(dim, codim, max_weight):
     assert got == literal_candidates(cfg)
 
 
+def test_k3_counts_from_the_literature():
+    # Reid's 95 families of weighted K3 hypersurfaces (Iano-Fletcher 13.3),
+    # the largest weight being 33 in X_66 in P(5, 6, 22, 33), and the 84
+    # codimension-2 K3 complete intersections (Iano-Fletcher 13.8)
+    hyper = list(iter_candidates(SearchConfig(
+        dim=2, codim=1, max_weight=33, amplitude_filter=CALABI_YAU)))
+    assert len(hyper) == 95
+    assert max(d.weights[-1] for d in hyper) == 33
+    codim2 = list(iter_candidates(SearchConfig(
+        dim=2, codim=2, max_weight=20, amplitude_filter=CALABI_YAU)))
+    assert len(codim2) == 84
+
+
 def test_small_codim2_run_matches_tables():
     cfg = SearchConfig(dim=2, codim=2, max_weight=5, index_filter=1)
     records = run_search(cfg)

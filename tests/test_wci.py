@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from wfci.wci import (WciDescriptor, adjunction, general_qs_ci2,
+from wfci.wci import (WciDescriptor, adjunction, general_qs, general_qs_ci2,
                       general_qs_hypersurface, intersection_number,
                       linear_cone_flags, qs_ci2_fast, qs_hypersurface_fast,
                       well_formed_ci, well_formed_hypersurface,
@@ -165,6 +166,37 @@ def test_qs_ci2_matches_brute_force_sample(mask_calls):
             assert not mask_calls, (ws, d1, d2)   # singletons are decided by residues
         cases += 1
 
+
+
+def _qs_witness_sample():
+    """Seeded codimension-1 and -2 descriptors, no linear cones; small weights
+    are drawn often, so every witness condition of both criteria occurs."""
+    rng = random.Random("wfci-qs-witnesses")
+    out = []
+    while len(out) < 3000:
+        c = rng.choice((1, 2))
+        ws = [rng.choice((1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 9, 11))
+              for _ in range(rng.randrange(c + 2, c + 5))]
+        d = desc(ws, [rng.randrange(2, 40) for _ in range(c)])
+        if not linear_cone_flags(d):
+            out.append(d)
+    return out
+
+
+# sha256 of the repr lines of general_qs over the sample (holds, witnesses in
+# order, failing subset), recorded before the coin DP of poly was shared
+QS_WITNESS_SHA256 = "f7b63e70fa5812a48cd7fdc44e544ee7041ffa98476797b62f51ba62cd6b08dd"
+
+
+def test_qs_witness_golden_bytes():
+    verdicts = [general_qs(d) for d in _qs_witness_sample()]
+    assert {v.holds for v in verdicts} == {True, False}
+    assert {w.condition for v in verdicts for w in v.witnesses} == {
+        "monomial-on-subset", "enough-partners", "monomials-on-subset",
+        "first-monomial-plus-partners", "second-monomial-plus-partners",
+        "partners-both-equations"}
+    digest = hashlib.sha256("\n".join(map(repr, verdicts)).encode()).hexdigest()
+    assert digest == QS_WITNESS_SHA256, digest
 
 # --- adjunction -------------------------------------------------------------
 
