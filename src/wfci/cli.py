@@ -200,8 +200,16 @@ def cmd_normal_form(args) -> int:
         if not (0 <= i < len(args.weights) and 0 <= j < len(args.weights)):
             print("error: pair indices out of range", file=sys.stderr)
             return EXIT_USAGE
-        poly = generic_member(args.weights,
-                              args.weights[i] + args.weights[j], args.seed)
+        if len(args.weights) < 2 or any(a < 1 for a in args.weights):
+            print("error: need at least two positive weights", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            poly = generic_member(args.weights,
+                                  args.weights[i] + args.weights[j], args.seed)
+        except ValueError as exc:
+            # more monomials than the generic member's term cap
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:

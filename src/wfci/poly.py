@@ -2,16 +2,17 @@
 
 Coefficients live in Q or in a single real/imaginary quadratic extension
 Q(sqrt(m)) with m a square-free integer; one square root is all the normal
-form construction ever needs.  Monomials are plain exponent tuples keyed in a
-dict, as usual for sparse multivariate arithmetic.
+form construction ever needs.  A polynomial keeps `Coeff` values in a dict
+keyed by exponent tuples; products and substitutions run on integer
+numerators over a common denominator (`_mul_into`, the one product kernel)
+and reduce to `Coeff` once per output term.
 
 The representability helpers (`representable`, `eligible_partners`) answer
 "does a monomial of weighted degree d supported on an index set exist", which
 is the arithmetic core of the quasi-smoothness criteria of Iano-Fletcher
 ("Working with weighted complete intersections", Thm 8.1 / 8.7).  That is
 numerical-semigroup membership, and `semigroup_mask` is its one DP, read by
-both helpers and by the witness-free fast paths of `wci`.  Likewise the
-`GradedPolynomial` constructor is the one place that merges like terms.
+both helpers and by the witness-free fast paths of `wci`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .intarith import factorize
@@ -85,8 +88,9 @@ class Coeff:
 
     def __add__(self, other) -> "Coeff":
         other = Coeff.of(other)
-        m = self._join(other)
-        return Coeff(self.base + other.base, self.rad + other.rad, m)
+        if not (self.rad or other.rad):
+            return Coeff(self.base + other.base)
+        return Coeff(self.base + other.base, self.rad + other.rad, self._join(other))
 
     def __neg__(self) -> "Coeff":
         return Coeff(-self.base, -self.rad, self.m)
@@ -96,12 +100,11 @@ class Coeff:
 
     def __mul__(self, other) -> "Coeff":
         other = Coeff.of(other)
+        if not (self.rad or other.rad):
+            return Coeff(self.base * other.base)
         m = self._join(other)
-        return Coeff(
-            self.base * other.base + self.rad * other.rad * m,
-            self.base * other.rad + self.rad * other.base,
-            m,
-        )
+        return Coeff(self.base * other.base + self.rad * other.rad * m,
+                     self.base * other.rad + self.rad * other.base, m)
 
     def inverse(self) -> "Coeff":
         if self.is_zero:
@@ -139,7 +142,7 @@ def weighted_degree(exponents: Sequence[int], weights: Sequence[int]) -> int:
     """Weighted degree sum(e_i * a_i) of an exponent vector."""
     if len(exponents) != len(weights):
         raise ValueError("exponent/weight length mismatch")
-    return sum(e * a for e, a in zip(exponents, weights))
+    return sum(map(mul, exponents, weights))
 
 
 class GradedPolynomial:
@@ -235,23 +238,46 @@ class GradedPolynomial:
         return cls(obj["weights"], obj["degree"], terms)
 
 
+def _integral(p: GradedPolynomial) -> tuple[int, dict]:
+    """p as (D, {exps: (a, b, m)}), coefficients (a + b*sqrt(m))/D in integers."""
+    D = lcm(*(f.denominator for c in p.terms.values() for f in (c.base, c.rad)))
+    return D, {e: (c.base.numerator * D // c.base.denominator,
+                   c.rad.numerator * D // c.rad.denominator, c.m) for e, c in p.terms.items()}
+
+
+def _mul_into(table: dict, left: Mapping, right: Mapping) -> dict:
+    """The one product kernel: merge each product of a `left` and a `right` term
+    into `table`, in the form of `_integral` (m counts only where b != 0)."""
+    for e1, (a1, b1, m1) in left.items():
+        for e2, (a2, b2, m2) in right.items():
+            if b1 and b2 and m1 != m2:
+                raise ValueError(f"incompatible radicands {m1} and {m2}")
+            a, b, m = a1 * a2 + b1 * b2 * m1, a1 * b2 + b1 * a2, m1 if b1 else m2
+            e = tuple(map(add, e1, e2))
+            old = table.get(e)
+            if old is not None:
+                oa, ob, om = old
+                if ob and b and om != m:
+                    raise ValueError(f"incompatible radicands {om} and {m}")
+                a, b, m = a + oa, b + ob, om if ob else m
+            if a or b:
+                table[e] = (a, b, m)
+            elif old is not None:
+                del table[e]
+    return table
+
+
+def _from_integral(weights, degree, D: int, table: Mapping) -> GradedPolynomial:
+    return GradedPolynomial(weights, degree, (
+        (e, Coeff(Fraction(a, D), Fraction(b, D), m)) for e, (a, b, m) in table.items()))
+
+
 def poly_mul(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
     """Product of two graded polynomials (degrees add)."""
     if p.weights != q.weights:
         raise ValueError("weight mismatch")
-    return GradedPolynomial(p.weights, p.degree + q.degree,
-                            ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                             for e1, c1 in p.terms.items()
-                             for e2, c2 in q.terms.items()))
-
-
-def poly_pow(p: GradedPolynomial, k: int) -> GradedPolynomial:
-    if k == 0:
-        return GradedPolynomial(p.weights, 0, {tuple(0 for _ in p.weights): ONE})
-    out = p
-    for _ in range(k - 1):
-        out = poly_mul(out, p)
-    return out
+    (dp, tp), (dq, tq) = _integral(p), _integral(q)
+    return _from_integral(p.weights, p.degree + q.degree, dp * dq, _mul_into({}, tp, tq))
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +370,19 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
             raise ValueError("replacement must avoid the variable or be "
                              "x_i plus terms without it")
 
-    def expanded():
-        powers: dict[int, GradedPolynomial] = {}
-        for exps, coeff in p.terms.items():
-            e_i = exps[i]
-            if e_i == 0:
-                yield exps, coeff
-                continue
-            if e_i not in powers:
-                powers[e_i] = poly_pow(replacement, e_i)
-            stripped = tuple(0 if k == i else e for k, e in enumerate(exps))
-            for rexps, rcoeff in powers[e_i].terms.items():
-                yield tuple(a + b for a, b in zip(stripped, rexps)), coeff * rcoeff
-
-    return GradedPolynomial(p.weights, p.degree, expanded())
+    (dp, tp), (dr, tr) = _integral(p), _integral(replacement)
+    top = max((e[i] for e in tp), default=0)
+    # powers[k] is replacement**k over dr**k; each term goes over dp * dr**top
+    powers = [{tuple(0 for _ in p.weights): (1, 0, 1)}]
+    table: dict = {}
+    for exps, (a, b, m) in tp.items():
+        e_i = exps[i]
+        while len(powers) <= e_i:
+            powers.append(_mul_into({}, powers[-1], tr))
+        scale = dr ** (top - e_i)
+        stripped = exps[:i] + (0,) + exps[i + 1:]
+        _mul_into(table, {stripped: (a * scale, b * scale, m)}, powers[e_i])
+    return _from_integral(p.weights, p.degree, dp * dr ** top, table)
 
 
 def monomials_of_degree(weights: Sequence[int], d: int,

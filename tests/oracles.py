@@ -3,7 +3,8 @@
 These deliberately avoid the residue-DP / counting shortcuts of the package:
 monomial existence is decided by depth-first exponent search, partner
 distinctness by literal subset search, and intersection numbers by lattice
-point counting with finite differences.
+point counting with finite differences.  Polynomial products and graded
+substitutions are expanded literally, term by term, in `Coeff` arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from wfci.poly import Coeff
 
 _dfs_memo: dict[tuple, bool] = {}
 
@@ -169,3 +172,27 @@ def lattice_degree(weights, degrees) -> Fraction:
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     assert diffs[-1] == diffs[-2], "finite differences did not stabilize"
     return diffs[-1] / L ** (m + 1)
+
+
+def literal_product(p_terms: dict, q_terms: dict) -> dict:
+    """Product of two {exps: Coeff} term dicts, multiplied out term by term."""
+    out: dict = {}
+    for e1, c1 in p_terms.items():
+        for e2, c2 in q_terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def literal_substitute(p_terms: dict, i: int, r_terms: dict, nvars: int) -> dict:
+    """x_i <- r in a {exps: Coeff} term dict: each term c * x^e becomes
+    c * x^(e with e_i = 0) * r^e_i, the power multiplied out afresh per term."""
+    out: dict = {}
+    for e, c in p_terms.items():
+        power = {(0,) * nvars: Coeff(Fraction(1))}
+        for _ in range(e[i]):
+            power = literal_product(power, r_terms)
+        stripped = tuple(0 if k == i else x for k, x in enumerate(e))
+        for key, value in literal_product({stripped: c}, power).items():
+            out[key] = out[key] + value if key in out else value
+    return {e: c for e, c in out.items() if not c.is_zero}

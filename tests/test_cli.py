@@ -1,13 +1,18 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wfci import cli, tables
+from wfci import cli, poly, tables
 from wfci.cli import main
-from wfci.poly import GradedPolynomial, generic_member
+from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor, general_qs, linear_cone_flags, well_formed_ci
 
 
@@ -197,6 +202,31 @@ def test_normal_form_missing_file(capsys):
     assert code == 4
 
 
+def test_normal_form_refuses_nonpositive_weights(capsys):
+    code, out, err = run(capsys, "normal-form", "--weights", "0,1,2", "--pair", "1,2")
+    assert (code, out) == (2, "")
+    assert err == "error: need at least two positive weights\n"
+
+
+def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
+    # the real cap (200,000 terms) takes seconds to reach; a cap of 10 refuses
+    # the 15 quadrics in five variables the same way
+    real = poly.generic_member
+    monkeypatch.setattr(poly, "generic_member",
+                        lambda ws, d, seed: real(ws, d, seed, cap=10))
+    code, out, err = run(capsys, "normal-form", "--weights", "1,1,1,1,1", "--pair", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: monomial count exceeds cap 10\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "wfci", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"wfci {cli.__version__}\n")
+
+
 def test_normal_form_generated_member(capsys):
     code, out, _ = run(capsys, "normal-form", "--weights", "1,1,2,3",
                        "--pair", "0,3", "--seed", "7")
@@ -350,7 +380,7 @@ def _golden_calls():
             "other": other}
 
 
-def _transcript_sha256(capsys, calls):
+def _transcript_sha256(capsys, calls, seen=None):
     digest = hashlib.sha256()
     for argv in calls:
         try:
@@ -359,6 +389,8 @@ def _transcript_sha256(capsys, calls):
             code = exc.code
         out = capsys.readouterr()
         digest.update(json.dumps([argv, code, out.out, out.err]).encode())
+        if seen is not None:
+            seen.append((code, out.out))
     return digest.hexdigest()
 
 
@@ -379,6 +411,67 @@ def test_golden_output_bytes(capsys, monkeypatch):
     assert len(calls["json"]) >= 190
     got = {group: _transcript_sha256(capsys, argvs) for group, argvs in calls.items()}
     assert got == GOLDEN_SHA256
+
+
+# (weights, pair, seed) whose generated member has a perfect-square quadratic
+# in the two equal-weight pivots and no other enabling pair: exit 5
+DEGENERATE_MEMBERS = [("3,3,1,2", "0,1", 27), ("3,3,1,2", "0,1", 62),
+                      ("1,1,2,5,7", "0,1", 1), ("1,1,2,5,7", "0,1", 44),
+                      ("4,2,4,7,9", "0,2", 9), ("4,2,4,7,9", "0,2", 15),
+                      ("5,6,6,11,1,3", "1,2", 155), ("5,6,6,11,1,3", "1,2", 603)]
+
+
+def _normal_form_golden_calls(directory):
+    """Seeded normal-form calls: generated members with 4-7 weights up to 12
+    (equal pivot weights in about a third, which adjoins a square root),
+    degenerate members, and file inputs whose coefficients already carry a
+    radicand, one in five of them with a second, incompatible one."""
+    rng = random.Random("wfci-normal-form-golden")
+    calls = []
+    for _ in range(400):
+        ws = [rng.randint(1, 12) for _ in range(rng.randint(4, 7))]
+        i, j = rng.sample(range(len(ws)), 2)
+        if rng.random() < 0.3:
+            ws[j] = ws[i]
+        calls.append(["normal-form", "--weights", ",".join(map(str, ws)),
+                      "--pair", f"{i},{j}", "--seed", str(rng.randrange(1 << 30))])
+    for ws, pair, seed in DEGENERATE_MEMBERS:
+        calls.append(["normal-form", "--weights", ws, "--pair", pair, "--seed", str(seed)])
+    for k in range(40):
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+        i, j = rng.sample(range(len(ws)), 2)
+        if k % 2:
+            ws[j] = ws[i]
+        m = rng.choice((2, 3, 5, -1, 7))
+        terms = {}
+        for exps, c in generic_member(ws, ws[i] + ws[j], rng.randrange(1000)).terms.items():
+            if rng.random() < 0.3:
+                c = Coeff(c.base, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), m)
+            terms[exps] = c
+        if k % 5 == 0:
+            exps = rng.choice(sorted(terms))
+            terms[exps] = Coeff(terms[exps].base, Fraction(1), 11)
+        name = f"radical{k}.json"
+        (directory / name).write_text(json.dumps(GradedPolynomial(
+            ws, ws[i] + ws[j], terms).to_json()))
+        calls.append(["normal-form", name, "--pair", f"{i},{j}"])
+    return calls
+
+
+# recorded before the normal-form arithmetic moved to integer numerators
+NORMAL_FORM_GOLDEN_SHA256 = "a872dd978bed22a8985faeeb45c2402b1e72b95e9fa3c56ee149a11c73c0a995"
+
+
+def test_normal_form_golden_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    got = _transcript_sha256(capsys, _normal_form_golden_calls(tmp_path), seen)
+    codes = [code for code, _ in seen]
+    radicands = sum(1 for code, out in seen
+                    if code == 0 and json.loads(out)["radicand"] is not None)
+    assert len(seen) >= 400 and radicands >= 15
+    assert codes.count(5) >= len(DEGENERATE_MEMBERS) and codes.count(2) >= 1
+    assert got == NORMAL_FORM_GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("index", ["0", "-1"])

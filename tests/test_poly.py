@@ -8,7 +8,8 @@ from wfci.poly import (Coeff, GradedPolynomial, eligible_partners,
                        representable, semigroup_mask, substitute,
                        weighted_degree)
 
-from oracles import brute_partners, dfs_representable
+from oracles import (brute_partners, dfs_representable, literal_product,
+                     literal_substitute)
 
 
 # --- coefficients ---------------------------------------------------------
@@ -197,6 +198,89 @@ def test_poly_mul_degree_and_values():
     assert poly_mul(s, t).terms == {(2, 0): Coeff(Fraction(1)),
                                     (0, 2): Coeff(Fraction(-1))}
 
+
+def _random_poly(rng, w, d, m, mixed):
+    """Some monomials of degree d with coefficients over mixed denominators,
+    a share of them carrying sqrt(m); `mixed` puts sqrt(11) on one term."""
+    monos = list(monomials_of_degree(w, d))
+    if not monos:
+        return None
+    terms = {}
+    for exps in rng.sample(monos, min(len(monos), rng.randint(1, 8))):
+        base = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        rad = Fraction(rng.randint(1, 9), rng.randint(1, 12)) if m != 1 and rng.random() < 0.4 else 0
+        terms[exps] = Coeff(base, Fraction(rad), m)
+    if mixed:
+        terms[rng.choice(sorted(terms))] = Coeff(Fraction(1), Fraction(1), 11)
+    return GradedPolynomial(w, d, terms)
+
+
+def _agree(fast, literal):
+    """Both raise the incompatible-radicands ValueError, or give equal terms."""
+    try:
+        want = literal()
+    except ValueError as exc:
+        assert "incompatible radicands" in str(exc)
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            fast()
+        return False
+    assert fast().terms == want
+    return True
+
+
+def test_substitute_and_poly_mul_match_literal_oracle():
+    rng = random.Random(17)
+    seen = {"subst": 0, "mul": 0, "clash": 0, "radical": 0, "high_power": 0}
+    for k in range(400):
+        n = rng.randint(2, 4)
+        w = tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))
+        i = rng.randrange(n)
+        d = rng.randint(1, 9 if w[i] == 1 else 12)
+        m = rng.choice((1, 2, 3, 5, -1, -7))
+        p = _random_poly(rng, w, d, m, mixed=k % 7 == 0)
+        if p is None:
+            continue                            # no monomial of degree d
+        if k % 2:
+            q = _random_poly(rng, w, rng.randint(1, 6), rng.choice((1, m, 3)), mixed=False)
+            if q is None:
+                continue
+            ok = _agree(lambda: poly_mul(p, q), lambda: literal_product(p.terms, q.terms))
+            seen["mul"] += ok
+        else:
+            rest = [e for e in monomials_of_degree(w, w[i]) if e[i] == 0]
+            terms = {e: Coeff(Fraction(rng.randint(-5, 5), rng.randint(1, 7)),
+                              Fraction(rng.randint(0, 3), rng.randint(1, 5)),
+                              rng.choice((m, m, 3)))
+                     for e in rng.sample(rest, min(len(rest), rng.randint(0, 3)))}
+            if rng.random() < 0.7:
+                terms[tuple(int(j == i) for j in range(n))] = Coeff(Fraction(1))
+            r = GradedPolynomial(w, w[i], terms)
+            ok = _agree(lambda: substitute(p, i, r),
+                        lambda: literal_substitute(p.terms, i, r.terms, n))
+            seen["subst"] += ok
+            seen["high_power"] += ok and max(e[i] for e in p.terms) >= 6
+        seen["clash"] += not ok
+        seen["radical"] += ok and any(not c.is_rational for c in p.terms.values())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_incompatible_radicands_raise_from_substitute_and_poly_mul():
+    w = (1, 1, 2)
+    p = GradedPolynomial(w, 2, {(1, 1, 0): Coeff(Fraction(1), Fraction(1), 2),
+                                (0, 0, 1): Coeff(Fraction(1, 3))})
+    r = GradedPolynomial(w, 1, {(1, 0, 0): 1, (0, 1, 0): Coeff(Fraction(0), Fraction(1), 3)})
+    with pytest.raises(ValueError, match="^incompatible radicands 2 and 3$"):
+        substitute(p, 0, r)
+    with pytest.raises(ValueError, match="^incompatible radicands 2 and 3$"):
+        poly_mul(p, r)
+    # no product clashes here: sqrt(5)*x0*x1 comes first, then sqrt(3)*x0*x1
+    # meets it while like terms merge, and the earlier term is named first
+    q = GradedPolynomial(w, 1, {(0, 1, 0): Coeff(Fraction(1)),
+                                (1, 0, 0): Coeff(Fraction(0), Fraction(1), 3)})
+    s = GradedPolynomial(w, 1, {(0, 1, 0): Coeff(Fraction(1)),
+                                (1, 0, 0): Coeff(Fraction(0), Fraction(1), 5)})
+    with pytest.raises(ValueError, match="^incompatible radicands 5 and 3$"):
+        poly_mul(q, s)
 
 def test_json_round_trip():
     p = GradedPolynomial((1, 1, 2), 4, {
