@@ -23,6 +23,13 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_MATH = 5
 
+# Input caps of analyze and normal-form --weights, checked before any
+# arithmetic.  Quasi-smoothness reads one semigroup mask per index subset,
+# of length the largest degree or the weight sum: 2^n masks of up to n * cap
+# bits, about 1.5 s and 150 MB at 10 weights near the value cap.
+MAX_WEIGHTS = 10
+MAX_VALUE = 100_000
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
@@ -138,7 +145,21 @@ def _print_analysis(weights, degrees, fmt) -> int:
     return EXIT_OK
 
 
+def _oversized(weights, degrees=()) -> bool:
+    """Print the refusal of input beyond the caps; True when refused."""
+    if len(weights) > MAX_WEIGHTS:
+        print(f"error: at most {MAX_WEIGHTS} weights are accepted", file=sys.stderr)
+        return True
+    if any(v > MAX_VALUE for v in (*weights, *degrees)):
+        print(f"error: weights and degrees above {MAX_VALUE} are not accepted",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_analyze(args) -> int:
+    if _oversized(args.weights, args.degrees):
+        return EXIT_USAGE
     if len(args.weights) < 2 or any(a < 1 for a in args.weights):
         print("error: need at least two positive weights", file=sys.stderr)
         return EXIT_USAGE
@@ -196,6 +217,8 @@ def cmd_normal_form(args) -> int:
         return EXIT_USAGE
     if args.weights is not None:
         from .poly import generic_member
+        if _oversized(args.weights):
+            return EXIT_USAGE
         i, j = args.pair
         if not (0 <= i < len(args.weights) and 0 <= j < len(args.weights)):
             print("error: pair indices out of range", file=sys.stderr)

@@ -289,18 +289,19 @@ def semigroup_mask(gens: Sequence[int], limit: int) -> int:
 
     Classic coin-problem DP packed into a Python integer; bit 0 (the empty
     combination) is always set.  This is the one membership DP of the package.
+    Each generator is closed over by doubling: after the shifts by a, 2a, ...,
+    2^k a the mask holds every sum with up to 2^(k+1) - 1 copies of a, so
+    O(log(limit / a)) shift-ors per generator reach every multiple <= limit.
     """
     full = (1 << (limit + 1)) - 1
     mask = 1
     for a in gens:
         if a <= 0:
             raise ValueError("generators must be positive")
-        if a > limit:
-            continue
-        prev = -1
-        while prev != mask:
-            prev = mask
-            mask |= (mask << a) & full
+        shift = a
+        while shift <= limit:
+            mask |= (mask << shift) & full
+            shift <<= 1
     return mask
 
 

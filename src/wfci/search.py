@@ -124,7 +124,14 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...]) -> Iterator[tuple[
     at least mu degrees, mu = 1..c.  At mu = c these are the (n-1)-subsets and
     must divide every degree, so all degrees (and their sum) are multiples of
     `step`, the lcm of those gcds.  At c = 2 the (n-2)-subset gcds must divide
-    one degree; those dividing `step` already divide both.
+    one degree; those dividing `step` already divide both.  A tuple with no
+    multiple of `step` in range stops there.
+
+    Each degree is then screened by the one-variable clause of the largest
+    weight a: a degree with no monomial in x_a needs a partner monomial
+    x_a^m * x_e, so it is congruent mod a to some weight.  At c = 2 a split
+    passes when a divides one degree or both residues are weight residues.
+    The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
     """
     codim = config.codim
     step = lcm(*{gcd(*sub) for sub in combinations(ws, len(ws) - 2)})
@@ -139,10 +146,16 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...]) -> Iterator[tuple[
         lo, hi = 2 * codim, total
     lo = max(lo, 2 * codim)
     sums = range(-(-lo // step) * step, hi + 1, step)
+    if not sums:
+        return
     cones = set(ws) if config.exclude_linear_cones else ()
+    # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
+    # Thm 8.1 / 8.7): a degree not divisible by a is a weight residue mod a
+    a = ws[-1]
+    res = {b % a for b in ws}
     if codim == 1:
         for s in sums:
-            if s not in cones:
+            if s % a in res and s not in cones:
                 yield (s,)
         return
     rest = [g for g in {gcd(*sub) for sub in combinations(ws, len(ws) - 3)} if step % g]
@@ -157,8 +170,10 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...]) -> Iterator[tuple[
             if s % g:
                 d1s.intersection_update({*range(g, half + 1, g),
                                          *range(s % g, half + 1, g)})
+        ok = {0, s % a, *[r for r in res if (s - r) % a in res]}
         for d1 in sorted(d1s):
-            yield (d1, s - d1)
+            if d1 % a in ok:
+                yield (d1, s - d1)
 
 
 def iter_candidates(config: SearchConfig,

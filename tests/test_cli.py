@@ -219,6 +219,45 @@ def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
     assert err == "error: monomial count exceeds cap 10\n"
 
 
+def _refuse_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("arithmetic on refused input")
+    for module, name in ((cli, "normalize"), (cli, "verdict"), (poly, "generic_member")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_oversized_input_exits_2_before_arithmetic(capsys, monkeypatch):
+    _refuse_arithmetic(monkeypatch)
+    many = ",".join(["1"] * (cli.MAX_WEIGHTS + 1))
+    big = str(cli.MAX_VALUE + 1)
+    refusals = [
+        (["analyze", "--weights", many, "--degrees", "2"], "weights are accepted"),
+        (["analyze", "--weights", f"1,2,3,{big}", "--degrees", "6"], "not accepted"),
+        (["analyze", "--weights", "1,2,3,4", "--degrees", big], "not accepted"),
+        (["normal-form", "--weights", many, "--pair", "0,1"], "weights are accepted"),
+        (["normal-form", "--weights", f"1,1,{big}", "--pair", "0,1"], "not accepted"),
+    ]
+    for argv, reason in refusals:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and reason in err, argv
+
+
+def test_input_at_the_caps_is_accepted(capsys):
+    ones = ["1"] * (cli.MAX_WEIGHTS - 1)
+    at_caps = ",".join(ones + [str(cli.MAX_VALUE)])
+    code, out, _ = run(capsys, "analyze", "--weights", at_caps,
+                       "--degrees", str(cli.MAX_VALUE), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["linear_cones"] == [[0, cli.MAX_WEIGHTS - 1]]
+    code, out, _ = run(capsys, "analyze", "--weights", at_caps,
+                       "--degrees", str(cli.MAX_VALUE - 1), "--format", "json")
+    assert (code, json.loads(out)["quasi_smooth"]) == (0, False)
+    code, out, _ = run(capsys, "normal-form", "--weights", at_caps, "--pair", "0,1")
+    assert code == 0
+    assert json.loads(out)["result"]["weights"][-1] == cli.MAX_VALUE
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

@@ -102,6 +102,23 @@ def test_semigroup_mask_basics():
     assert members == {0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
 
 
+def test_semigroup_mask_matches_dfs_oracle():
+    # seeded generator sets, with generators above the limit, limit 0 and
+    # repeated generators; every bit up to the limit, and none above it
+    rng = random.Random(8)
+    cases = [([7], 3), ([4, 9], 0), ([5, 5, 5], 40), ([6, 6, 10, 15], 60), ([], 9)]
+    for _ in range(300):
+        gens = [rng.randint(1, 40) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        cases.append((gens, rng.randint(0, 150)))
+    for gens, limit in cases:
+        mask = semigroup_mask(gens, limit)
+        assert mask >> (limit + 1) == 0, (gens, limit)
+        assert [(mask >> d) & 1 for d in range(limit + 1)] == \
+            [dfs_representable(tuple(gens), d) for d in range(limit + 1)], (gens, limit)
+
+
 def test_eligible_partners_examples():
     assert 0 in eligible_partners((1, 7, 12, 18), (1,), 36)
     assert eligible_partners((1, 1, 1, 1), (1,), 3) == (0, 2, 3)

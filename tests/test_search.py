@@ -9,6 +9,8 @@ from wfci.wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                       well_formed_ci, CALABI_YAU, FANO)
 from wfci.wps import is_well_formed
 
+from oracles import brute_qs_ci2, brute_qs_hypersurface
+
 
 def keyset(records):
     return {(r.descriptor.weights, r.descriptor.multidegree) for r in records}
@@ -26,8 +28,10 @@ def test_config_validation():
 
 def literal_candidates(config):
     """Every sorted weight tuple and sorted multidegree (degrees >= 2, as the
-    search takes them), kept by the library's one-descriptor criteria, in the
-    search's order: weights, then degree sum, then degrees."""
+    search takes them), kept by the library's one-descriptor criteria and the
+    config's filters, in the search's order: weights, then degree sum, then
+    degrees.  general_qs refuses linear cones, so included cones are decided
+    by the brute-force oracles."""
     out = []
     for ws in combinations_with_replacement(range(1, config.max_weight + 1),
                                             config.tuple_length):
@@ -35,23 +39,49 @@ def literal_candidates(config):
             continue
         for degs in combinations_with_replacement(range(2, sum(ws) + 1), config.codim):
             desc = WciDescriptor.of(ws, degs)
-            if adjunction(desc).amplitude not in (FANO, CALABI_YAU):
+            adj = adjunction(desc)
+            if adj.amplitude not in (FANO, CALABI_YAU):
                 continue
-            if linear_cone_flags(desc) or not well_formed_ci(desc):
+            if config.amplitude_filter not in (None, adj.amplitude):
                 continue
-            if general_qs(desc, witnesses=False).holds:
+            if config.index_filter not in (None, adj.fano_index):
+                continue
+            cone = bool(linear_cone_flags(desc))
+            if cone and config.exclude_linear_cones or not well_formed_ci(desc):
+                continue
+            if cone:
+                brute = brute_qs_hypersurface if config.codim == 1 else brute_qs_ci2
+                holds = brute(ws, *degs)
+            else:
+                holds = general_qs(desc, witnesses=False).holds
+            if holds:
                 out.append((ws, degs))
     return sorted(out, key=lambda key: (key[0], sum(key[1]), key[1]))
 
 
-@pytest.mark.parametrize("dim,codim,max_weight", [
-    (1, 1, 12), (1, 2, 9), (2, 1, 8), (2, 2, 6), (3, 1, 6), (3, 2, 5)])
-def test_iter_candidates_matches_literal_filter(dim, codim, max_weight):
+@pytest.mark.parametrize("dim,codim,max_weight,options", [
+    pytest.param(1, 1, 12, {}, id="1-1-12"),
+    pytest.param(1, 2, 9, {}, id="1-2-9"),
+    pytest.param(2, 1, 8, {}, id="2-1-8"),
+    pytest.param(2, 2, 6, {}, id="2-2-6"),
+    pytest.param(3, 1, 6, {}, id="3-1-6"),
+    pytest.param(3, 2, 5, {}, id="3-2-5"),
+    pytest.param(2, 1, 14, {"index_filter": 1}, id="2-1-14-index1"),
+    pytest.param(2, 2, 8, {"index_filter": 1}, id="2-2-8-index1"),
+    pytest.param(2, 1, 14, {"amplitude_filter": CALABI_YAU}, id="2-1-14-calabi-yau"),
+    pytest.param(2, 2, 7, {"amplitude_filter": CALABI_YAU}, id="2-2-7-calabi-yau"),
+    pytest.param(2, 1, 10, {"exclude_linear_cones": False}, id="2-1-10-cones"),
+    pytest.param(2, 2, 6, {"exclude_linear_cones": False}, id="2-2-6-cones")])
+def test_iter_candidates_matches_literal_filter(dim, codim, max_weight, options):
     # the well-formedness subset sizes depend on dim and codim; at dim 1 and
-    # dim 3 a filter hard-coding the dim-2 sizes keeps the wrong descriptors
-    cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight)
+    # dim 3 a filter hard-coding the dim-2 sizes keeps the wrong descriptors.
+    # The index and amplitude filters narrow the degree sums the search
+    # visits, and included linear cones go through the residue screen too.
+    cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
     got = [(d.weights, d.multidegree) for d in iter_candidates(cfg)]
     assert got == literal_candidates(cfg)
+    if not cfg.exclude_linear_cones:
+        assert any(linear_cone_flags(WciDescriptor.of(*key)) for key in got)
 
 
 def test_k3_counts_from_the_literature():
