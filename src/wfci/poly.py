@@ -12,7 +12,9 @@ The representability helpers (`representable`, `eligible_partners`) answer
 is the arithmetic core of the quasi-smoothness criteria of Iano-Fletcher
 ("Working with weighted complete intersections", Thm 8.1 / 8.7).  That is
 numerical-semigroup membership, and `semigroup_mask` is its one DP, read by
-both helpers and by the witness-free fast paths of `wci`.
+both helpers, by the quasi-smoothness scan of `wci` (through
+`wci._cached_mask`), and by `monomials_of_degree`, which enters only the
+branches its suffix masks can still complete.
 """
 
 from __future__ import annotations
@@ -388,28 +390,35 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
 
 def monomials_of_degree(weights: Sequence[int], d: int,
                         cap: Optional[int] = None) -> Iterator[tuple]:
-    """All exponent tuples of weighted degree d, in lexicographic order."""
+    """All exponent tuples of weighted degree d, in lexicographic order.
+
+    The walk enters only branches whose remainder the later weights still
+    reach (a bit of each suffix's `semigroup_mask`), so every branch it
+    visits ends in a monomial and the cap bounds the work."""
+    if d < 0:
+        return
     n = len(weights)
+    reach = [semigroup_mask(weights[pos:], d) for pos in range(n + 1)]
     count = 0
 
     def rec(pos: int, remaining: int, prefix: tuple):
         nonlocal count
         if pos == n:
-            if remaining == 0:
-                count += 1
-                if cap is not None and count > cap:
-                    raise ValueError(f"monomial count exceeds cap {cap}")
-                yield prefix
+            count += 1
+            if cap is not None and count > cap:
+                raise ValueError(f"monomial count exceeds cap {cap}")
+            yield prefix
             return
         a = weights[pos]
         if pos == n - 1:
-            if remaining % a == 0:
-                yield from rec(pos + 1, 0, prefix + (remaining // a,))
+            yield from rec(n, 0, prefix + (remaining // a,))
             return
         for e in range(remaining // a + 1):
-            yield from rec(pos + 1, remaining - e * a, prefix + (e,))
+            if (reach[pos + 1] >> (remaining - e * a)) & 1:
+                yield from rec(pos + 1, remaining - e * a, prefix + (e,))
 
-    yield from rec(0, d, ())
+    if (reach[0] >> d) & 1:
+        yield from rec(0, d, ())
 
 
 GENERIC_TERM_CAP = 200_000
@@ -422,9 +431,10 @@ def generic_member(weights: Sequence[int], d: int, seed: int,
     deterministically from the seed."""
     if d < 1:
         raise ValueError("degree must be positive")
+    monomials = list(monomials_of_degree(weights, d, cap=cap))
     rng = random.Random((seed, tuple(weights), d).__repr__())
     table = {}
-    for exps in monomials_of_degree(weights, d, cap=cap):
+    for exps in monomials:
         num = rng.randrange(1, 10) * (1 if rng.randrange(2) else -1)
         den = rng.randrange(1, 5)
         table[exps] = Coeff(Fraction(num, den))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .wci import (WciDescriptor, adjunction, general_qs, is_quasi_smooth,
-                  linear_cone_flags, well_formed_ci, FANO)
+from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
+                  well_formed_ci, FANO)
 from .wps import is_well_formed
 
 DATA_SHA256 = "ea911fcfd5fa8a2abe67399af5989826fd0fe9940bc61abe093fc74317d958ce"
@@ -198,10 +198,9 @@ def verify_all(n_max: int) -> VerifyReport:
             if linear_cone_flags(desc):
                 bad("linear cone coincidence")
                 continue
-            if not is_quasi_smooth(desc):
-                # the slower criterion names the failing subset
-                qs = general_qs(desc, witnesses=False)
-                bad(f"general member not quasi-smooth (subset {qs and qs.failing_subset})")
+            qs = general_qs(desc, witnesses=False)
+            if qs is not None and not qs.holds:
+                bad(f"general member not quasi-smooth (subset {qs.failing_subset})")
             adj = adjunction(desc)
             if adj.amplitude != FANO:
                 bad(f"not Fano (canonical coefficient {adj.canonical_coefficient})")

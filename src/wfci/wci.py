@@ -4,6 +4,13 @@ A descriptor is the ambient weight vector plus the multidegree.  This module
 decides well-formedness (Iano-Fletcher 6.10 / 6.12), quasi-smoothness of
 general members in codimension 1 and 2 (Iano-Fletcher Thm 8.1 / 8.7), detects
 linear cones, and computes adjunction data and intersection numbers.
+
+Quasi-smoothness is one scan, `_first_failure`, over the index subsets, with
+one clause table for both codimensions.  Witness-free (`qs_*_fast`,
+`is_quasi_smooth`, `general_qs(witnesses=False)`), it decides singletons by
+residues and larger subsets on semigroup masks, which only the search keeps
+from one degree to the next.  In witness mode (`general_qs`) it records the
+clause each subset passes by and the monomials that show it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .intarith import gcd_many
-from .poly import eligible_partners, representable, semigroup_mask
+from .poly import representable, semigroup_mask
 from .wps import WeightVector, is_well_formed
 
 
@@ -111,10 +118,14 @@ class QsVerdict:
     failing_subset: Optional[tuple[int, ...]] = None
 
 
-def _nonempty_subsets(n_plus_1: int):
-    idx = range(n_plus_1)
-    for size in range(1, n_plus_1 + 1):
-        yield from combinations(idx, size)
+def _qs_verdict(desc: WciDescriptor, c: int, witnesses: bool) -> QsVerdict:
+    if desc.codim != c:
+        raise ValueError(f"criterion needs codimension {c}")
+    if linear_cone_flags(desc):
+        raise ValueError("criterion inapplicable to linear cones")
+    found = [] if witnesses else None
+    sub = _first_failure(desc.weights, desc.multidegree, None, found)
+    return QsVerdict(sub is None, tuple(found or ()), sub)
 
 
 def general_qs_hypersurface(desc: WciDescriptor, witnesses: bool = True) -> QsVerdict:
@@ -124,28 +135,7 @@ def general_qs_hypersurface(desc: WciDescriptor, witnesses: bool = True) -> QsVe
     I, or at least |I| distinct outside indices e admit a monomial of the
     shape (I-supported) * x_e.
     """
-    if desc.codim != 1:
-        raise ValueError("criterion needs codimension 1")
-    if linear_cone_flags(desc):
-        raise ValueError("criterion inapplicable to linear cones")
-    ws = desc.weights
-    d = desc.multidegree[0]
-    found: list[SubsetWitness] = []
-    for sub in _nonempty_subsets(len(ws)):
-        mono = representable(ws, sub, d)
-        if mono is not None:
-            if witnesses:
-                found.append(SubsetWitness(sub, "monomial-on-subset", (mono,)))
-            continue
-        partners = eligible_partners(ws, sub, d)
-        if len(partners) >= len(sub):
-            if witnesses:
-                chosen = tuple((e, representable(ws, sub, d - ws[e]))
-                               for e in partners[:len(sub)])
-                found.append(SubsetWitness(sub, "enough-partners", (), chosen))
-            continue
-        return QsVerdict(False, tuple(found), sub)
-    return QsVerdict(True, tuple(found))
+    return _qs_verdict(desc, 1, witnesses)
 
 
 def general_qs_ci2(desc: WciDescriptor, witnesses: bool = True) -> QsVerdict:
@@ -159,50 +149,14 @@ def general_qs_ci2(desc: WciDescriptor, witnesses: bool = True) -> QsVerdict:
       * |E_1| >= k, |E_2| >= k and |E_1 u E_2| >= k+1.
     At k = 1 this is exactly the single-variable condition.
     """
-    if desc.codim != 2:
-        raise ValueError("criterion needs codimension 2")
-    if linear_cone_flags(desc):
-        raise ValueError("criterion inapplicable to linear cones")
-    ws = desc.weights
-    d1, d2 = desc.multidegree
-    found: list[SubsetWitness] = []
-    for sub in _nonempty_subsets(len(ws)):
-        k = len(sub)
-        m1 = representable(ws, sub, d1)
-        m2 = representable(ws, sub, d2)
-        if m1 is not None and m2 is not None:
-            if witnesses:
-                found.append(SubsetWitness(sub, "monomials-on-subset", (m1, m2)))
-            continue
-        e1 = eligible_partners(ws, sub, d1)
-        e2 = eligible_partners(ws, sub, d2)
-        if m1 is not None and len(e2) >= k - 1:
-            if witnesses:
-                chosen = tuple((e, representable(ws, sub, d2 - ws[e])) for e in e2[:k - 1])
-                found.append(SubsetWitness(sub, "first-monomial-plus-partners", (m1,), chosen))
-            continue
-        if m2 is not None and len(e1) >= k - 1:
-            if witnesses:
-                chosen = tuple((e, representable(ws, sub, d1 - ws[e])) for e in e1[:k - 1])
-                found.append(SubsetWitness(sub, "second-monomial-plus-partners", (m2,), chosen))
-            continue
-        if len(e1) >= k and len(e2) >= k and len(set(e1) | set(e2)) >= k + 1:
-            if witnesses:
-                chosen = tuple((e, representable(ws, sub, d1 - ws[e])) for e in e1[:k])
-                chosen += tuple((e, representable(ws, sub, d2 - ws[e])) for e in e2[:k])
-                found.append(SubsetWitness(sub, "partners-both-equations", (), chosen))
-            continue
-        return QsVerdict(False, tuple(found), sub)
-    return QsVerdict(True, tuple(found))
+    return _qs_verdict(desc, 2, witnesses)
 
 
 def general_qs(desc: WciDescriptor, witnesses: bool = True) -> Optional[QsVerdict]:
     """Dispatch on codimension; None when no criterion is available (c >= 3)."""
-    if desc.codim == 1:
-        return general_qs_hypersurface(desc, witnesses=witnesses)
-    if desc.codim == 2:
-        return general_qs_ci2(desc, witnesses=witnesses)
-    return None
+    if desc.codim > 2:
+        return None
+    return _qs_verdict(desc, desc.codim, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +207,14 @@ def intersection_number(desc: WciDescriptor, divisor_degrees: Sequence[int]) -> 
 
 
 # ---------------------------------------------------------------------------
-# fast boolean paths for the enumeration hot loop
+# the quasi-smoothness scan
 # ---------------------------------------------------------------------------
 
 def _cached_mask(ws, sub, limit, masks):
+    """Semigroup mask of the weights on `sub` up to `limit`, kept in `masks`
+    per index subset when the caller brings that cache; None keeps nothing."""
+    if masks is None:
+        return semigroup_mask([ws[i] for i in sub], limit)
     entry = masks.get(sub)
     if entry is None or entry[0] < limit:
         entry = (limit, semigroup_mask([ws[i] for i in sub], limit))
@@ -264,96 +222,102 @@ def _cached_mask(ws, sub, limit, masks):
     return entry[1]
 
 
-def _larger_subsets(n1: int):
-    for size in range(2, n1 + 1):
-        yield from combinations(range(n1), size)
+# Iano-Fletcher Thm 8.1 (c = 1) and 8.7 (c = 2), one row per clause: the
+# witness condition, the degrees that need a monomial on the index subset I,
+# and the degrees that need eligible partners outside I.  With k = |I| and p
+# partner degrees, each partner list needs k - c + p entries, and two lists
+# need one more than that between them.
+_CLAUSES = {
+    1: (("monomial-on-subset", (0,), ()),
+        ("enough-partners", (), (0,))),
+    2: (("monomials-on-subset", (0, 1), ()),
+        ("first-monomial-plus-partners", (0,), (1,)),
+        ("second-monomial-plus-partners", (1,), (0,)),
+        ("partners-both-equations", (), (0, 1))),
+}
+
+
+def _first_failure(ws, degs, masks, found=None):
+    """First index subset, by size and then lexicographically, that fails the
+    criterion of the weights ws in the degrees degs (c = 1 or 2); None when
+    every subset passes.
+
+    Witness-free (found is None), singletons are decided by residues with no
+    mask: x_i^m has degree d exactly when a_i | d, and x_e partners it when
+    a_e <= d and a_i | d - a_e.  Larger subsets read semigroup masks through
+    `_cached_mask`, and one AND passes a subset with a monomial in every
+    degree.  In witness mode (found a list) every subset reads its mask and
+    each passing one appends its SubsetWitness to `found`."""
+    d1, d2 = degs[0], degs[-1]
+    if found is None:
+        for a in ws:
+            if d1 % a and d2 % a:
+                # partner weights (no e = i qualifies, since a_i does not
+                # divide d); equal lists of one weight mean one partner index
+                # for both degrees.  The verdict depends on a_i alone, so the
+                # first failing singleton is the first index of its weight.
+                e1 = [b for b in ws if b <= d1 and not (d1 - b) % a]
+                if not e1:
+                    return (ws.index(a),)
+                if len(degs) == 2:
+                    e2 = [b for b in ws if b <= d2 and not (d2 - b) % a]
+                    if not e2 or e1 == e2 and len(e1) == 1:
+                        return (ws.index(a),)
+    n1 = len(ws)
+    limit = max(d1, d2, sum(ws))
+    every = (1 << d1) | (1 << d2)
+    for size in range(1 if found is not None else 2, n1 + 1):
+        for sub in combinations(range(n1), size):
+            mask = _cached_mask(ws, sub, limit, masks)
+            if found is None and mask & every == every:
+                continue
+            if not _passes(ws, degs, sub, mask, found):
+                return sub
+    return None
+
+
+def _passes(ws, degs, sub, mask, found):
+    """Whether the index subset `sub`, of semigroup mask `mask`, passes a
+    clause; in witness mode its SubsetWitness goes to `found`.  Kept apart so
+    that its comprehensions make no cells of `_first_failure`'s locals."""
+    c, n1 = len(degs), len(ws)
+    has = [(mask >> d) & 1 for d in degs]
+    partners = [[e for e in range(n1) if e not in sub
+                 and ws[e] <= d and (mask >> (d - ws[e])) & 1] for d in degs]
+    for condition, mono, part in _CLAUSES[c]:
+        need = len(sub) - c + len(part)
+        lists = [partners[j] for j in part]
+        if (all(has[j] for j in mono) and all(len(e) >= need for e in lists)
+                and (len(lists) < 2 or len(set(lists[0] + lists[1])) > need)):
+            if found is not None:
+                found.append(SubsetWitness(
+                    sub, condition,
+                    tuple(representable(ws, sub, degs[j]) for j in mono),
+                    tuple((e, representable(ws, sub, degs[j] - ws[e]))
+                          for j in part for e in partners[j][:need])))
+            return True
+    return False
 
 
 def qs_hypersurface_fast(ws: tuple[int, ...], d: int,
-                         masks: dict[tuple[int, ...], tuple[int, int]]) -> bool:
-    """Witness-free hypersurface criterion.  Singletons are decided by
-    residues (x_i^m has degree d exactly when a_i | d); larger subsets read
-    semigroup bitmasks, built on first use and cached in `masks` per index
-    subset for one fixed weight tuple."""
-    for a in ws:
-        # partners x_e of x_i^m in degree d: a_e <= d and a_i | d - a_e
-        # (no e = i qualifies, since a_i does not divide d)
-        if d % a and not any(b <= d and not (d - b) % a for b in ws):
-            return False
-    n1 = len(ws)
-    limit = max(d, sum(ws))
-    for sub in _larger_subsets(n1):
-        mask = _cached_mask(ws, sub, limit, masks)
-        if (mask >> d) & 1:
-            continue
-        inside = set(sub)
-        partners = 0
-        for e in range(n1):
-            if e in inside:
-                continue
-            r = d - ws[e]
-            if r >= 0 and (mask >> r) & 1:
-                partners += 1
-                if partners >= len(sub):
-                    break
-        if partners < len(sub):
-            return False
-    return True
+                         masks: Optional[dict[tuple[int, ...], tuple[int, int]]]) -> bool:
+    """Witness-free hypersurface criterion; masks built on first use are
+    cached in `masks` per index subset for one fixed weight tuple."""
+    return _first_failure(ws, (d,), masks) is None
 
 
 def qs_ci2_fast(ws: tuple[int, ...], d1: int, d2: int,
-                masks: dict[tuple[int, ...], tuple[int, int]]) -> bool:
-    """Witness-free codimension-2 criterion: singletons by residues, larger
-    subsets by semigroup bitmasks built on first use (see the hypersurface
-    case).  A singleton with a monomial in either degree passes outright,
-    since it needs k - 1 = 0 partners for the other."""
-    for a in ws:
-        if d1 % a and d2 % a:
-            # partner weights, as in the hypersurface case; equal lists of
-            # one weight mean one partner index for both degrees
-            e1 = [b for b in ws if b <= d1 and not (d1 - b) % a]
-            if not e1:
-                return False
-            e2 = [b for b in ws if b <= d2 and not (d2 - b) % a]
-            if not e2 or e1 == e2 and len(e1) == 1:
-                return False
-    n1 = len(ws)
-    limit = max(d1, d2, sum(ws))
-    for sub in _larger_subsets(n1):
-        mask = _cached_mask(ws, sub, limit, masks)
-        k = len(sub)
-        r1 = (mask >> d1) & 1
-        r2 = (mask >> d2) & 1
-        if r1 and r2:
-            continue
-        inside = set(sub)
-        e1 = []
-        e2 = []
-        for e in range(n1):
-            if e in inside:
-                continue
-            a = ws[e]
-            if d1 - a >= 0 and (mask >> (d1 - a)) & 1:
-                e1.append(e)
-            if d2 - a >= 0 and (mask >> (d2 - a)) & 1:
-                e2.append(e)
-        if r1 and len(e2) >= k - 1:
-            continue
-        if r2 and len(e1) >= k - 1:
-            continue
-        if len(e1) >= k and len(e2) >= k and len(set(e1) | set(e2)) >= k + 1:
-            continue
-        return False
-    return True
+                masks: Optional[dict[tuple[int, ...], tuple[int, int]]]) -> bool:
+    """Witness-free codimension-2 criterion, cached as in the hypersurface
+    case."""
+    return _first_failure(ws, (d1, d2), masks) is None
 
 
 def is_quasi_smooth(desc: WciDescriptor) -> Optional[bool]:
     """Witness-free quasi-smoothness of a general member that is not a linear
-    cone (the fast paths, with masks for this descriptor only); None when no
-    criterion is available (c >= 3).  general_qs decides the same question
-    and also gives the witnesses."""
-    if desc.codim == 1:
-        return qs_hypersurface_fast(desc.weights, desc.multidegree[0], {})
-    if desc.codim == 2:
-        return qs_ci2_fast(desc.weights, *desc.multidegree, {})
-    return None
+    cone, keeping no masks; None when no criterion is available (c >= 3).
+    general_qs decides the same question and also gives the witnesses."""
+    if desc.codim > 2:
+        return None
+    fast = qs_hypersurface_fast if desc.codim == 1 else qs_ci2_fast
+    return fast(desc.weights, *desc.multidegree, None)

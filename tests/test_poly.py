@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -189,7 +190,7 @@ def test_substitute_degree_guard():
         substitute(p, 1, bad)
 
 
-def test_generic_member_counts_and_determinism():
+def test_generic_member_counts_and_determinism(monkeypatch):
     assert len(generic_member((1, 1, 1), 1, seed=0).terms) == 3
     w, d = (1, 7, 12, 18), 36
     count = sum(1 for _ in monomials_of_degree(w, d))
@@ -197,8 +198,38 @@ def test_generic_member_counts_and_determinism():
     assert len(p.terms) == count
     assert p == generic_member(w, d, seed=42)
     assert p != generic_member(w, d, seed=43)
-    with pytest.raises(ValueError):
+
+    # over the cap it refuses before drawing any coefficient
+    def no_coefficients(*args):
+        raise AssertionError("coefficient drawn")
+
+    monkeypatch.setattr(random, "Random", no_coefficients)
+    with pytest.raises(ValueError, match="monomial count exceeds cap 10"):
         generic_member((1, 1, 1, 1), 40, seed=1, cap=10)
+
+
+def test_monomial_walk_enters_only_live_branches():
+    # same monomials in the same order as a literal walk of the exponent box
+    rng = random.Random(391)
+    for _ in range(200):
+        w = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 5)))
+        d = rng.randrange(-1, 25)
+        box = product(*(range(max(d, 0) // a + 1) for a in w))
+        assert list(monomials_of_degree(w, d)) == \
+            [e for e in box if weighted_degree(e, w) == d], (w, d)
+
+    # only x_2 reaches the odd degree: the walk reads one weight per level on
+    # the way to it, where a walk of dead branches also visits the 125,751
+    # exponent pairs of the two 2s
+    class CountingWeights(tuple):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingWeights.reads += isinstance(i, int)
+            return tuple.__getitem__(self, i)
+
+    assert list(monomials_of_degree(CountingWeights((2, 2, 1001)), 1001)) == [(0, 0, 1)]
+    assert CountingWeights.reads == 3
 
 
 def test_poly_mul_degree_and_values():

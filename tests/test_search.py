@@ -5,8 +5,8 @@ import pytest
 
 from wfci.search import (SearchConfig, iter_candidates, partition, run_search,
                          run_search_parallel, write_records)
-from wfci.wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
-                      well_formed_ci, CALABI_YAU, FANO)
+from wfci.wci import (WciDescriptor, adjunction, linear_cone_flags, well_formed_ci,
+                      CALABI_YAU, FANO)
 from wfci.wps import is_well_formed
 
 from oracles import brute_qs_ci2, brute_qs_hypersurface
@@ -28,10 +28,10 @@ def test_config_validation():
 
 def literal_candidates(config):
     """Every sorted weight tuple and sorted multidegree (degrees >= 2, as the
-    search takes them), kept by the library's one-descriptor criteria and the
-    config's filters, in the search's order: weights, then degree sum, then
-    degrees.  general_qs refuses linear cones, so included cones are decided
-    by the brute-force oracles."""
+    search takes them), kept by the library's one-descriptor well-formedness
+    and adjunction criteria and the config's filters, in the search's order:
+    weights, then degree sum, then degrees.  Quasi-smoothness is decided by
+    the brute-force oracles, independently of the library's scan."""
     out = []
     for ws in combinations_with_replacement(range(1, config.max_weight + 1),
                                             config.tuple_length):
@@ -49,12 +49,8 @@ def literal_candidates(config):
             cone = bool(linear_cone_flags(desc))
             if cone and config.exclude_linear_cones or not well_formed_ci(desc):
                 continue
-            if cone:
-                brute = brute_qs_hypersurface if config.codim == 1 else brute_qs_ci2
-                holds = brute(ws, *degs)
-            else:
-                holds = general_qs(desc, witnesses=False).holds
-            if holds:
+            brute = brute_qs_hypersurface if config.codim == 1 else brute_qs_ci2
+            if brute(ws, *degs):
                 out.append((ws, degs))
     return sorted(out, key=lambda key: (key[0], sum(key[1]), key[1]))
 

@@ -160,12 +160,16 @@ def test_verify_all_k_metadata_is_carried():
 
 def test_verify_all_names_the_failing_subset(monkeypatch):
     # a well-formed Fano hypersurface that is not quasi-smooth, standing in for
-    # one sporadic row: the violation names the subset the criterion rejects
-    not_qs = WciDescriptor.of((1, 1, 1, 3), (2,))
+    # one sporadic row: the violation names the subset the criterion rejects.
+    # A codimension-3 stand-in has no criterion, so it reads as no violation.
+    stand_ins = {("T2", 5): WciDescriptor.of((1, 1, 1, 3), (2,)),
+                 ("T2", 6): WciDescriptor.of((1,) * 7, (2, 2, 2))}
     real = tables.instantiate
     monkeypatch.setattr(tables, "instantiate",
-                        lambda t, r, n=1: not_qs if (t, r) == ("T2", 5) else real(t, r, n))
+                        lambda t, r, n=1: stand_ins.get((t, r)) or real(t, r, n))
     report = tables.verify_all(1)
-    reasons = [v.reason for v in report.violations if (v.table_id, v.row_id) == ("T2", 5)]
-    assert reasons == ["general member not quasi-smooth (subset (3,))",
-                       "Fano index 4 != 1"]
+    reasons = {key: [v.reason for v in report.violations if (v.table_id, v.row_id) == key]
+               for key in stand_ins}
+    assert reasons == {("T2", 5): ["general member not quasi-smooth (subset (3,))",
+                                   "Fano index 4 != 1"],
+                       ("T2", 6): []}

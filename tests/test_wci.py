@@ -1,14 +1,15 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from wfci.wci import (WciDescriptor, adjunction, general_qs, general_qs_ci2,
                       general_qs_hypersurface, intersection_number,
-                      linear_cone_flags, qs_ci2_fast, qs_hypersurface_fast,
-                      well_formed_ci, well_formed_hypersurface,
-                      CALABI_YAU, FANO, GENERAL_TYPE)
+                      is_quasi_smooth, linear_cone_flags, qs_ci2_fast,
+                      qs_hypersurface_fast, well_formed_ci,
+                      well_formed_hypersurface, CALABI_YAU, FANO, GENERAL_TYPE)
 
 from oracles import brute_qs_ci2, brute_qs_hypersurface, lattice_degree
 
@@ -134,6 +135,8 @@ def test_qs_hypersurface_matches_brute_force_sample(mask_calls):
         assert v.holds == expected
         if not v.holds and len(v.failing_subset) == 1:
             assert not mask_calls, (ws, d)   # singletons are decided by residues
+        w = general_qs_hypersurface(desc(ws, (d,)))
+        assert (w.holds, w.failing_subset) == (v.holds, v.failing_subset), (ws, d)
         cases += 1
         small += below
 
@@ -164,8 +167,22 @@ def test_qs_ci2_matches_brute_force_sample(mask_calls):
         assert v.holds == expected
         if not v.holds and len(v.failing_subset) == 1:
             assert not mask_calls, (ws, d1, d2)   # singletons are decided by residues
+        w = general_qs_ci2(desc(ws, (d1, d2)))
+        assert (w.holds, w.failing_subset) == (v.holds, v.failing_subset), (ws, d1, d2)
         cases += 1
 
+
+def test_is_quasi_smooth_keeps_no_masks():
+    # ten weights near the cli value cap: 1,013 masks of about 10^6 bits
+    # each, some 125 MB if every index subset kept its mask for the call
+    d = desc(range(99995, 100005), 199999)
+    tracemalloc.start()
+    try:
+        is_quasi_smooth(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def _qs_witness_sample():
