@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, search, tables
@@ -30,6 +31,10 @@ EXIT_MATH = 5
 # near the value cap, at degree 199,999, took about 1.1 s and 21 MB.
 MAX_WEIGHTS = 10
 MAX_VALUE = 100_000
+# Cap of enumerate: the number of sorted weight tuples it would walk,
+# comb(max_weight + n, n + 1) for n + 1 weights.  The K3 run at
+# --max-weight 100 walks 4.4 million of them in about half a minute.
+MAX_TUPLES = 10**7
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -195,6 +200,15 @@ def cmd_enumerate(args) -> int:
             exclude_linear_cones=not args.include_linear_cones)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    length = config.tuple_length
+    if length > MAX_WEIGHTS:
+        print(f"error: at most {MAX_WEIGHTS} weights are accepted "
+              f"(dim + codim + 1 is {length})", file=sys.stderr)
+        return EXIT_USAGE
+    if math.comb(config.max_weight + length - 1, length) > MAX_TUPLES:
+        print(f"error: more than {MAX_TUPLES} weight tuples to search; "
+              "lower --max-weight", file=sys.stderr)
         return EXIT_USAGE
     records = search.run_search_parallel(config, args.jobs)
     try:

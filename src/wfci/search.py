@@ -8,6 +8,17 @@ beyond that).  Intersections with linear cones are excluded by default since
 they reduce to smaller spaces.  Output order is deterministic: lexicographic
 in weights, then degrees; sharded runs cover disjoint first-two-weight
 prefixes and merge to the same record set.
+
+The weight tuples are walked depth first.  Each prefix carries a small table
+of its subset gcds other than 1, only for the four subset sizes that the
+well-formedness conditions of the full tuple can still need; the table of
+prefix + (x,) is extended from that of prefix, so every gcd comes from one
+gcd of a carried value with x.  The last weight runs in one flat loop over
+each prefix, which reads the ambient verdict, the step of the degree sums
+and the remaining gcds off the prefix's table.  The first degree of a
+codimension-2 split is generated from the residues mod the largest weight
+that the quasi-smoothness screen admits, then filtered by the other
+conditions.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -95,85 +106,128 @@ CSV_HEADER = ["weights", "degrees", "canonical_coefficient", "amplitude",
               "table", "row", "n"]
 
 
+_NONE, _ONE = frozenset(), frozenset({1})
+# the gcd table of the empty prefix: the 0-subset's gcd is 0, gcd(0, x) = x
+_EMPTY_TABLE = (_NONE, _NONE, _NONE, frozenset({0}))
+
+
+def _extend(table: tuple[frozenset, ...], x: int) -> tuple[frozenset, ...]:
+    """The gcd table of prefix + (x,) from the table of prefix.
+
+    Entry i of the table of a prefix of length j is the set of gcds other
+    than 1 of its (j - 3 + i)-subsets, i = 0..3 (empty below k = 0, {0} at
+    k = 0).  A k-subset of prefix + (x,) either omits x or is a
+    (k - 1)-subset of prefix plus x."""
+    t0, t1, t2, t3 = table
+    return (t1.union(map(gcd, t0, repeat(x))) - _ONE,
+            t2.union(map(gcd, t1, repeat(x))) - _ONE,
+            t3.union(map(gcd, t2, repeat(x))) - _ONE,
+            frozenset(map(gcd, t3, repeat(x))) - _ONE)
+
+
+def _prefix_tables(length: int, max_weight: int,
+                   prefixes: Optional[set[tuple[int, int]]]
+                   ) -> Iterator[tuple[tuple[int, ...], tuple[frozenset, ...]]]:
+    """Non-decreasing weight prefixes of `length` >= 2 in lexicographic order,
+    each with its gcd table, depth first so that only one table per level is
+    alive; restricted to the (first, second) weight pairs in `prefixes`."""
+    def walk(prefix, table, low):
+        if len(prefix) == length:
+            yield prefix, table
+            return
+        for x in range(low, max_weight + 1):
+            if prefixes is None or len(prefix) != 1 or (prefix[0], x) in prefixes:
+                yield from walk(prefix + (x,), _extend(table, x), x)
+    return walk((), _EMPTY_TABLE, 1)
+
+
 def _sorted_tuples(length: int, max_weight: int,
-                   prefixes: Optional[set[tuple[int, int]]] = None) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing weight tuples in lexicographic order, optionally
-    restricted to a set of (first, second) weight prefixes."""
-    weights = range(1, max_weight + 1)
-    if prefixes is None or length < 2:
-        return combinations_with_replacement(weights, length)
-    return ((a, b) + rest
-            for a, b in sorted(prefixes) if 1 <= a <= b <= max_weight
-            for rest in combinations_with_replacement(weights[b - 1:], length - 2))
+                   prefixes: Optional[set[tuple[int, int]]] = None
+                   ) -> Iterator[tuple[tuple[int, ...], tuple[frozenset, ...]]]:
+    """Non-decreasing weight tuples of `length` >= 3 in lexicographic order,
+    optionally restricted to a set of (first, second) weight prefixes, each
+    with the gcd table of its first length - 1 weights: entry i holds the
+    (length - 4 + i)-subset gcds other than 1 of that prefix."""
+    for prefix, table in _prefix_tables(length - 1, max_weight, prefixes):
+        for x in range(prefix[-1], max_weight + 1):
+            yield prefix + (x,), table
 
 
-def _ambient_well_formed(ws: tuple[int, ...]) -> bool:
-    """Every len(ws) - 1 of the weights are coprime.  When the first two are
-    coprime, only the subsets omitting one of them can fail."""
-    if gcd(ws[0], ws[1]) == 1:
-        return gcd(*ws[1:]) == 1 and gcd(ws[0], *ws[2:]) == 1
-    return all(gcd(*ws[:i], *ws[i + 1:]) == 1 for i in range(len(ws)))
+def _ambient_well_formed(ws: tuple[int, ...], table: tuple[frozenset, ...]) -> bool:
+    """Every len(ws) - 1 of the weights are coprime: the prefix ws[:-1] is,
+    and every (len(ws) - 2)-subset gcd of the prefix is coprime to ws[-1]."""
+    return not table[3] and gcd(lcm(*table[2]), ws[-1]) == 1
 
 
-def _degree_splits(config: SearchConfig, ws: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Sorted multidegrees for one weight tuple (ambient well-formed) that pass
-    the amplitude/index filter, the linear-cone exclusion and intersection
+def _sum_gaps(config: SearchConfig) -> tuple[int, int]:
+    """(lo_gap, hi_gap): a tuple of weight sum t admits the degree sums from
+    t - lo_gap to t - hi_gap (and at least 2 * codim) under the amplitude /
+    index filter: K = O(s - t) has s = t - index, s = t for Calabi-Yau and
+    s < t for Fano."""
+    if config.index_filter is not None:
+        return config.index_filter, config.index_filter
+    if config.amplitude_filter == CALABI_YAU:
+        return 0, 0
+    # no lower bound but 2 * codim: no weight sum exceeds length * max_weight
+    no_bound = config.tuple_length * config.max_weight
+    return no_bound, 1 if config.amplitude_filter == FANO else 0
+
+
+def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
+                   table: tuple[frozenset, ...], step: int,
+                   sums: range) -> Iterator[tuple[int, ...]]:
+    """Sorted multidegrees for one ambient well-formed weight tuple, with
+    degree sums in `sums` (the multiples of `step` the amplitude/index filter
+    admits), that pass the linear-cone exclusion and intersection
     well-formedness (Iano-Fletcher 6.10 / 6.12), by degree sum, then degrees.
 
     With n + 1 weights and c degrees, every (n-1-c+mu)-subset gcd must divide
     at least mu degrees, mu = 1..c.  At mu = c these are the (n-1)-subsets and
     must divide every degree, so all degrees (and their sum) are multiples of
     `step`, the lcm of those gcds.  At c = 2 the (n-2)-subset gcds must divide
-    one degree; those dividing `step` already divide both.  A tuple with no
-    multiple of `step` in range stops there.
+    one degree; those dividing `step` already divide both.  They are read off
+    `table`, the gcd table of ws[:-1] (see `_sorted_tuples`).
 
     Each degree is then screened by the one-variable clause of the largest
     weight a: a degree with no monomial in x_a needs a partner monomial
     x_a^m * x_e, so it is congruent mod a to some weight.  At c = 2 a split
-    passes when a divides one degree or both residues are weight residues.
-    The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
+    passes when a divides one degree or both residues are weight residues,
+    so the first degrees are generated from those residues mod a.  The
+    screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
     """
-    codim = config.codim
-    step = lcm(*{gcd(*sub) for sub in combinations(ws, len(ws) - 2)})
-    total = sum(ws)
-    if config.index_filter is not None:
-        lo = hi = total - config.index_filter
-    elif config.amplitude_filter == FANO:
-        lo, hi = 2 * codim, total - 1
-    elif config.amplitude_filter == CALABI_YAU:
-        lo = hi = total
-    else:
-        lo, hi = 2 * codim, total
-    lo = max(lo, 2 * codim)
-    sums = range(-(-lo // step) * step, hi + 1, step)
-    if not sums:
-        return
     cones = set(ws) if config.exclude_linear_cones else ()
     # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
     # Thm 8.1 / 8.7): a degree not divisible by a is a weight residue mod a
     a = ws[-1]
     res = {b % a for b in ws}
-    if codim == 1:
+    if config.codim == 1:
         for s in sums:
             if s % a in res and s not in cones:
                 yield (s,)
         return
-    rest = [g for g in {gcd(*sub) for sub in combinations(ws, len(ws) - 3)} if step % g]
+    rest = [g for g in table[1].union(map(gcd, table[0], repeat(a))) if step % g]
     for s in sums:
         # a g dividing s divides d1 exactly when it divides d2, so it joins
         # the step; any other g leaves d1 = 0 or s (mod g)
-        s_step = lcm(step, *[g for g in rest if not s % g])
-        half = s // 2
-        d1s = set(range(max(s_step, 2), half + 1, s_step))
-        d1s.difference_update(cones, [s - a for a in cones])
+        s_step, apart = step, []
         for g in rest:
             if s % g:
-                d1s.intersection_update({*range(g, half + 1, g),
-                                         *range(s % g, half + 1, g)})
+                apart.append(g)
+            else:
+                s_step = lcm(s_step, g)
+        half = s // 2
         ok = {0, s % a, *[r for r in res if (s - r) % a in res]}
+        d1s = set()
+        for r in ok:
+            d1s.update(range(r, half + 1, a))
+        d1s.difference_update((0, 1), cones, [s - c for c in cones])
+        if s_step > 1:
+            d1s = [d1 for d1 in d1s if not d1 % s_step]
+        for g in apart:
+            sg = s % g
+            d1s = [d1 for d1 in d1s if d1 % g in (0, sg)]
         for d1 in sorted(d1s):
-            if d1 % a in ok:
-                yield (d1, s - d1)
+            yield (d1, s - d1)
 
 
 def iter_candidates(config: SearchConfig,
@@ -183,11 +237,22 @@ def iter_candidates(config: SearchConfig,
     deterministic order: weights lexicographically, then degree sum, then
     degrees."""
     quasi_smooth = qs_hypersurface_fast if config.codim == 1 else qs_ci2_fast
-    for ws in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
-        if not _ambient_well_formed(ws):
+    lo_gap, hi_gap = _sum_gaps(config)
+    floor = 2 * config.codim
+    for ws, table in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
+        if not _ambient_well_formed(ws, table):
+            continue
+        # the lcm of the (len(ws) - 2)-subset gcds: those of ws[:-1] and
+        # those of its (len(ws) - 3)-subsets with ws[-1]
+        x = ws[-1]
+        step = lcm(*table[2], *map(gcd, table[1], repeat(x)))
+        total = sum(ws)
+        lo = max(total - lo_gap, floor)
+        sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
+        if not sums:
             continue
         masks: dict[tuple[int, ...], tuple[int, int]] = {}
-        for degs in _degree_splits(config, ws):
+        for degs in _degree_splits(config, ws, table, step, sums):
             if quasi_smooth(ws, *degs, masks):
                 yield WciDescriptor.of(ws, degs)
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -151,6 +152,47 @@ def test_enumerate_rejects_codim3(capsys):
                        "--index", "1", "--max-weight", "5", "--out", "/dev/null")
     assert code == 2
     assert "codim" in err
+
+
+def test_enumerate_caps_exit_2_before_search(tmp_path, capsys, monkeypatch):
+    # a 42-weight scan would need 2^42 subsets, and the codim-2 box at
+    # weights up to 100,000 holds 8e22 tuples: both are refused at once
+    def refuse(*args, **kwargs):
+        raise AssertionError("search started on refused input")
+    monkeypatch.setattr(cli.search, "run_search_parallel", refuse)
+    out = tmp_path / "f.jsonl"
+    refusals = [
+        (["--dim", "2", "--codim", "2", "--index", "1", "--max-weight", "100000"],
+         "weight tuples"),
+        (["--dim", "40", "--codim", "1", "--max-weight", "1"], "weights are accepted"),
+        (["--dim", str(cli.MAX_WEIGHTS - 1), "--codim", "1", "--max-weight", "1"],
+         "weights are accepted"),
+    ]
+    for argv, reason in refusals:
+        code, msg, err = run(capsys, "enumerate", *argv, "--out", str(out))
+        assert (code, msg) == (2, ""), argv
+        assert err.startswith("error: ") and reason in err, argv
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("dim,codim,max_weight", [
+    (2, 1, 50), (2, 1, 100), (2, 2, 50), (cli.MAX_WEIGHTS - 2, 1, 1)])
+def test_enumerate_caps_admit_the_literature_runs(tmp_path, capsys, monkeypatch,
+                                                  dim, codim, max_weight):
+    # k3-c1, the W = 100 K3 count and codim 2 at W = 50 stay inside the caps;
+    # the search itself is stubbed out
+    monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
+    code, msg, _ = run(capsys, "enumerate", "--dim", str(dim), "--codim", str(codim),
+                       "--max-weight", str(max_weight), "--out", str(tmp_path / "f"))
+    assert (code, msg.split()[:2]) == (0, ["emitted", "0"])
+
+
+def test_enumerate_tuple_cap_boundary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
+    top = max(w for w in range(1, 200) if math.comb(w + 4, 5) <= cli.MAX_TUPLES)
+    codes = [run(capsys, "enumerate", "--dim", "2", "--codim", "2", "--max-weight",
+                 str(w), "--out", str(tmp_path / "f"))[0] for w in (top, top + 1)]
+    assert codes == [0, 2]
 
 
 def test_enumerate_io_failure(capsys):

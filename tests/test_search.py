@@ -1,8 +1,11 @@
 import json
-from itertools import combinations_with_replacement
+import math
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from wfci import search
 from wfci.search import (SearchConfig, iter_candidates, partition, run_search,
                          run_search_parallel, write_records)
 from wfci.wci import (WciDescriptor, adjunction, linear_cone_flags, well_formed_ci,
@@ -67,7 +70,9 @@ def literal_candidates(config):
     pytest.param(2, 1, 14, {"amplitude_filter": CALABI_YAU}, id="2-1-14-calabi-yau"),
     pytest.param(2, 2, 7, {"amplitude_filter": CALABI_YAU}, id="2-2-7-calabi-yau"),
     pytest.param(2, 1, 10, {"exclude_linear_cones": False}, id="2-1-10-cones"),
-    pytest.param(2, 2, 6, {"exclude_linear_cones": False}, id="2-2-6-cones")])
+    pytest.param(2, 2, 6, {"exclude_linear_cones": False}, id="2-2-6-cones"),
+    pytest.param(4, 2, 4, {}, id="4-2-4"),
+    pytest.param(5, 1, 4, {}, id="5-1-4")])
 def test_iter_candidates_matches_literal_filter(dim, codim, max_weight, options):
     # the well-formedness subset sizes depend on dim and codim; at dim 1 and
     # dim 3 a filter hard-coding the dim-2 sizes keeps the wrong descriptors.
@@ -168,6 +173,59 @@ def test_sharded_equals_unsharded():
     for shard in shards:
         sharded |= keyset(run_search(cfg, prefixes=shard))
     assert sharded == serial
+
+
+@pytest.mark.parametrize("codim,options", [
+    (1, {"index_filter": 1}), (1, {"amplitude_filter": CALABI_YAU}),
+    (2, {"index_filter": 1}), (2, {"amplitude_filter": FANO})])
+def test_shards_concatenate_to_the_serial_list(codim, options):
+    # each shard walks its prefixes in the serial order, so merging the
+    # shard lists by the search's order gives the serial list itself
+    cfg = SearchConfig(dim=2, codim=codim, max_weight=14 if codim == 1 else 7, **options)
+    serial = [(d.weights, d.multidegree) for d in iter_candidates(cfg)]
+
+    def order(key):
+        return key[0], sum(key[1]), key[1]
+    shards = [[(d.weights, d.multidegree) for d in iter_candidates(cfg, shard)]
+              for shard in partition(cfg, 3)]
+    assert all(chunk == sorted(chunk, key=order) for chunk in shards)
+    assert sorted((k for chunk in shards for k in chunk), key=order) == serial
+    assert len(serial) > 10
+
+
+def literal_table(prefix):
+    """The gcd table of a prefix, from every subset: entry i holds the gcds
+    other than 1 of the (len(prefix) - 3 + i)-subsets (gcd() is 0)."""
+    return tuple(frozenset({math.gcd(*sub) for sub in combinations(prefix, k)} - {1})
+                 if k >= 0 else frozenset()
+                 for k in range(len(prefix) - 3, len(prefix) + 1))
+
+
+def test_gcd_tables_match_the_subset_gcds():
+    rng = random.Random("gcd-tables")
+    for _ in range(400):
+        ws = sorted(rng.choice((1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 30))
+                    for _ in range(rng.randint(1, 8)))
+        table = search._EMPTY_TABLE
+        for j, x in enumerate(ws, 1):
+            table = search._extend(table, x)
+            assert table == literal_table(tuple(ws[:j])), ws[:j]
+    # the walk hands every tuple the table of its prefix
+    for ws, table in search._sorted_tuples(5, 6):
+        assert table == literal_table(ws[:-1])
+
+
+@pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
+def test_sorted_tuples_walks_the_whole_box(length, max_weight):
+    # one item per non-decreasing tuple, serially and over the shards: this
+    # is what the benchmark's search.tuples counter counts
+    cfg = SearchConfig(dim=length - 2, codim=1, max_weight=max_weight)
+    box = list(combinations_with_replacement(range(1, max_weight + 1), length))
+    assert len(box) == math.comb(max_weight + length - 1, length)
+    assert [ws for ws, _ in search._sorted_tuples(length, max_weight)] == box
+    sharded = [ws for shard in partition(cfg, 3)
+               for ws, _ in search._sorted_tuples(length, max_weight, shard)]
+    assert sorted(sharded) == box
 
 
 def test_parallel_equals_serial():
