@@ -31,10 +31,13 @@ EXIT_MATH = 5
 # near the value cap, at degree 199,999, took about 1.1 s and 21 MB.
 MAX_WEIGHTS = 10
 MAX_VALUE = 100_000
-# Cap of enumerate: the number of sorted weight tuples it would walk,
-# comb(max_weight + n, n + 1) for n + 1 weights.  The K3 run at
-# --max-weight 100 walks 4.4 million of them in about half a minute.
-MAX_TUPLES = 10**7
+# Cap of enumerate: the (weight tuple, degree sum) pairs it would visit,
+# comb(max_weight + n, n + 1) sorted tuples of n + 1 weights times the width
+# of each tuple's degree-sum window: 1 under --index or CalabiYau, about
+# (n + 1) * max_weight otherwise, and counted as at least 1 so that the
+# weight bound stays capped when the filters admit no sum.  The K3 run at
+# --max-weight 100 walks 4.4 million tuples in about half a minute.
+MAX_TUPLE_SUMS = 10**7
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -206,9 +209,12 @@ def cmd_enumerate(args) -> int:
         print(f"error: at most {MAX_WEIGHTS} weights are accepted "
               f"(dim + codim + 1 is {length})", file=sys.stderr)
         return EXIT_USAGE
-    if math.comb(config.max_weight + length - 1, length) > MAX_TUPLES:
-        print(f"error: more than {MAX_TUPLES} weight tuples to search; "
-              "lower --max-weight", file=sys.stderr)
+    lo_gap, hi_gap = search._sum_gaps(config)
+    width = max(lo_gap - hi_gap + 1, 1)
+    if math.comb(config.max_weight + length - 1, length) * width > MAX_TUPLE_SUMS:
+        print(f"error: more than {MAX_TUPLE_SUMS} degree sums over the weight "
+              "tuples to search; lower --max-weight, or give --index or "
+              "--amplitude CalabiYau", file=sys.stderr)
         return EXIT_USAGE
     records = search.run_search_parallel(config, args.jobs)
     try:

@@ -15,10 +15,13 @@ well-formedness conditions of the full tuple can still need; the table of
 prefix + (x,) is extended from that of prefix, so every gcd comes from one
 gcd of a carried value with x.  The last weight runs in one flat loop over
 each prefix, which reads the ambient verdict, the step of the degree sums
-and the remaining gcds off the prefix's table.  The first degree of a
-codimension-2 split is generated from the residues mod the largest weight
-that the quasi-smoothness screen admits, then filtered by the other
-conditions.
+and the remaining gcds off the prefix's table.  The first degrees of the
+codimension-2 splits of one degree sum are sieved as one integer bitmask:
+each condition on them (the residues mod the largest weight that the
+quasi-smoothness screen admits, the step, the remaining gcds) is a
+congruence, read from a table of residue-progression masks built lazily
+once per search, and the bounds and linear cones clear bits; the set bits,
+lowest first, are the splits in ascending order.
 """
 
 from __future__ import annotations
@@ -162,23 +165,42 @@ def _ambient_well_formed(ws: tuple[int, ...], table: tuple[frozenset, ...]) -> b
 def _sum_gaps(config: SearchConfig) -> tuple[int, int]:
     """(lo_gap, hi_gap): a tuple of weight sum t admits the degree sums from
     t - lo_gap to t - hi_gap (and at least 2 * codim) under the amplitude /
-    index filter: K = O(s - t) has s = t - index, s = t for Calabi-Yau and
-    s < t for Fano."""
-    if config.index_filter is not None:
-        return config.index_filter, config.index_filter
-    if config.amplitude_filter == CALABI_YAU:
-        return 0, 0
+    index filters, which must all hold: K = O(s - t) has s = t - index,
+    s = t for Calabi-Yau and s < t for Fano.  An index with Calabi-Yau
+    leaves the window empty (lo_gap < hi_gap)."""
     # no lower bound but 2 * codim: no weight sum exceeds length * max_weight
-    no_bound = config.tuple_length * config.max_weight
-    return no_bound, 1 if config.amplitude_filter == FANO else 0
+    lo_gap, hi_gap = config.tuple_length * config.max_weight, 0
+    if config.index_filter is not None:
+        lo_gap = hi_gap = config.index_filter
+    if config.amplitude_filter == CALABI_YAU:
+        lo_gap = 0
+    elif config.amplitude_filter == FANO:
+        hi_gap = max(hi_gap, 1)
+    return lo_gap, hi_gap
+
+
+class _Progressions(dict):
+    """Residue-progression bitmasks up to `bound`: self[m][r] has the bits
+    r, r + m, r + 2m, ... <= bound.  A modulus's row is built on its first
+    use, so a search builds only the rows it reads."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __missing__(self, m: int) -> list[int]:
+        full = (2 << self.bound) - 1
+        base = sum(1 << k for k in range(0, self.bound + 1, m))
+        row = self[m] = [base << r & full for r in range(m)]
+        return row
 
 
 def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
-                   table: tuple[frozenset, ...], step: int,
-                   sums: range) -> Iterator[tuple[int, ...]]:
+                   table: tuple[frozenset, ...], step: int, sums: range,
+                   per: _Progressions) -> Iterator[tuple[int, ...]]:
     """Sorted multidegrees for one ambient well-formed weight tuple, with
-    degree sums in `sums` (the multiples of `step` the amplitude/index filter
-    admits), that pass the linear-cone exclusion and intersection
+    degree sums in `sums` (the multiples of `step` the amplitude/index filters
+    admit), that pass the linear-cone exclusion and intersection
     well-formedness (Iano-Fletcher 6.10 / 6.12), by degree sum, then degrees.
 
     With n + 1 weights and c degrees, every (n-1-c+mu)-subset gcd must divide
@@ -191,9 +213,14 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
     Each degree is then screened by the one-variable clause of the largest
     weight a: a degree with no monomial in x_a needs a partner monomial
     x_a^m * x_e, so it is congruent mod a to some weight.  At c = 2 a split
-    passes when a divides one degree or both residues are weight residues,
-    so the first degrees are generated from those residues mod a.  The
-    screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
+    passes when a divides one degree or both residues are weight residues.
+    The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
+
+    At c = 2 the first degrees d1 of one degree sum s are sieved as one
+    bitmask (bit d1 set iff d1 passes): every condition above is a
+    congruence of d1, read from the progression rows of `per`, or a bound
+    2 <= d1 <= s/2, or a cone d1 or s - d1 to clear.  The set bits are
+    taken from the lowest up, so the splits come out in ascending d1.
     """
     cones = set(ws) if config.exclude_linear_cones else ()
     # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
@@ -205,29 +232,44 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
             if s % a in res and s not in cones:
                 yield (s,)
         return
-    rest = [g for g in table[1].union(map(gcd, table[0], repeat(a))) if step % g]
+    # the (n-2)-subset gcds that do not divide the step: those of ws[:-1]
+    # and those of its (n-3)-subsets with a
+    rest = [g for g in table[1] if step % g]
+    for g in table[0]:
+        g = gcd(g, a)
+        if step % g and g not in rest:
+            rest.append(g)
+    by_a = per[a]
+    # the cones as first degrees, and mirrored: bit top - c of high_cones
+    # shifted down by top - s is bit s - c
+    top = per.bound
+    low_cones = high_cones = 0
+    for c in cones:
+        low_cones |= 1 << c
+        high_cones |= 1 << top - c
     for s in sums:
+        sa = s % a
+        mask = by_a[0] | by_a[sa]
+        for r in res:
+            if (sa - r) % a in res:
+                mask |= by_a[r]
         # a g dividing s divides d1 exactly when it divides d2, so it joins
         # the step; any other g leaves d1 = 0 or s (mod g)
-        s_step, apart = step, []
+        s_step = step
         for g in rest:
-            if s % g:
-                apart.append(g)
+            sg = s % g
+            if sg:
+                by_g = per[g]
+                mask &= by_g[0] | by_g[sg]
             else:
                 s_step = lcm(s_step, g)
-        half = s // 2
-        ok = {0, s % a, *[r for r in res if (s - r) % a in res]}
-        d1s = set()
-        for r in ok:
-            d1s.update(range(r, half + 1, a))
-        d1s.difference_update((0, 1), cones, [s - c for c in cones])
-        if s_step > 1:
-            d1s = [d1 for d1 in d1s if not d1 % s_step]
-        for g in apart:
-            sg = s % g
-            d1s = [d1 for d1 in d1s if d1 % g in (0, sg)]
-        for d1 in sorted(d1s):
+        mask &= per[s_step][0] & (2 << s // 2) - 4   # and 2 <= d1 <= s/2
+        mask &= ~(low_cones | high_cones >> top - s)
+        while mask:
+            low = mask & -mask
+            d1 = low.bit_length() - 1
             yield (d1, s - d1)
+            mask ^= low
 
 
 def iter_candidates(config: SearchConfig,
@@ -238,7 +280,11 @@ def iter_candidates(config: SearchConfig,
     degrees."""
     quasi_smooth = qs_hypersurface_fast if config.codim == 1 else qs_ci2_fast
     lo_gap, hi_gap = _sum_gaps(config)
+    if lo_gap < hi_gap:     # the filters admit no degree sum
+        return
     floor = 2 * config.codim
+    # no degree of a split exceeds the largest weight sum
+    per = _Progressions(config.tuple_length * config.max_weight)
     for ws, table in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
         if not _ambient_well_formed(ws, table):
             continue
@@ -252,7 +298,7 @@ def iter_candidates(config: SearchConfig,
         if not sums:
             continue
         masks: dict[tuple[int, ...], tuple[int, int]] = {}
-        for degs in _degree_splits(config, ws, table, step, sums):
+        for degs in _degree_splits(config, ws, table, step, sums, per):
             if quasi_smooth(ws, *degs, masks):
                 yield WciDescriptor.of(ws, degs)
 

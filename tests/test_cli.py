@@ -154,6 +154,16 @@ def test_enumerate_rejects_codim3(capsys):
     assert "codim" in err
 
 
+def test_enumerate_filters_must_all_hold(tmp_path, capsys):
+    # index 1 means s = t - 1 and Calabi-Yau s = t: no degree sum is both
+    out = tmp_path / "f.jsonl"
+    code, msg, _ = run(capsys, "enumerate", "--dim", "2", "--codim", "2",
+                       "--index", "1", "--amplitude", "CalabiYau",
+                       "--max-weight", "12", "--out", str(out))
+    assert (code, msg.split()[:2]) == (0, ["emitted", "0"])
+    assert out.read_bytes() == b""
+
+
 def test_enumerate_caps_exit_2_before_search(tmp_path, capsys, monkeypatch):
     # a 42-weight scan would need 2^42 subsets, and the codim-2 box at
     # weights up to 100,000 holds 8e22 tuples: both are refused at once
@@ -164,6 +174,8 @@ def test_enumerate_caps_exit_2_before_search(tmp_path, capsys, monkeypatch):
     refusals = [
         (["--dim", "2", "--codim", "2", "--index", "1", "--max-weight", "100000"],
          "weight tuples"),
+        # inside 10^7 tuples, but 316 degree sums per tuple without a filter
+        (["--dim", "2", "--codim", "2", "--max-weight", "63"], "degree sums"),
         (["--dim", "40", "--codim", "1", "--max-weight", "1"], "weights are accepted"),
         (["--dim", str(cli.MAX_WEIGHTS - 1), "--codim", "1", "--max-weight", "1"],
          "weights are accepted"),
@@ -175,24 +187,35 @@ def test_enumerate_caps_exit_2_before_search(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("dim,codim,max_weight", [
-    (2, 1, 50), (2, 1, 100), (2, 2, 50), (cli.MAX_WEIGHTS - 2, 1, 1)])
+@pytest.mark.parametrize("dim,codim,max_weight,filters", [
+    pytest.param(2, 1, 50, ["--amplitude", "CalabiYau"], id="2-1-50"),
+    pytest.param(2, 1, 100, ["--amplitude", "CalabiYau"], id="2-1-100"),
+    pytest.param(2, 2, 50, ["--index", "1"], id="2-2-50"),
+    pytest.param(cli.MAX_WEIGHTS - 2, 1, 1, [], id=f"{cli.MAX_WEIGHTS - 2}-1-1")])
 def test_enumerate_caps_admit_the_literature_runs(tmp_path, capsys, monkeypatch,
-                                                  dim, codim, max_weight):
-    # k3-c1, the W = 100 K3 count and codim 2 at W = 50 stay inside the caps;
-    # the search itself is stubbed out
+                                                  dim, codim, max_weight, filters):
+    # k3-c1, the W = 100 K3 count and codim 2 at W = 50, with the filters
+    # those runs use, stay inside the caps; the search itself is stubbed out
     monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
     code, msg, _ = run(capsys, "enumerate", "--dim", str(dim), "--codim", str(codim),
-                       "--max-weight", str(max_weight), "--out", str(tmp_path / "f"))
+                       "--max-weight", str(max_weight), *filters,
+                       "--out", str(tmp_path / "f"))
     assert (code, msg.split()[:2]) == (0, ["emitted", "0"])
 
 
 def test_enumerate_tuple_cap_boundary(tmp_path, capsys, monkeypatch):
+    # the cap counts (weight tuple, degree sum) pairs: one sum per tuple
+    # under --index, 5 * W + 1 sums per tuple of five weights without a filter
     monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
-    top = max(w for w in range(1, 200) if math.comb(w + 4, 5) <= cli.MAX_TUPLES)
-    codes = [run(capsys, "enumerate", "--dim", "2", "--codim", "2", "--max-weight",
-                 str(w), "--out", str(tmp_path / "f"))[0] for w in (top, top + 1)]
-    assert codes == [0, 2]
+    for filters, width in ((["--index", "1"], lambda w: 1),
+                           ([], lambda w: 5 * w + 1)):
+        top = max(w for w in range(1, 200)
+                  if math.comb(w + 4, 5) * width(w) <= cli.MAX_TUPLE_SUMS)
+        codes = [run(capsys, "enumerate", "--dim", "2", "--codim", "2", *filters,
+                     "--max-weight", str(w), "--out", str(tmp_path / "f"))[0]
+                 for w in (top, top + 1)]
+        assert codes == [0, 2], filters
+    assert top == 23
 
 
 def test_enumerate_io_failure(capsys):

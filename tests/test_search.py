@@ -69,6 +69,10 @@ def literal_candidates(config):
     pytest.param(2, 2, 8, {"index_filter": 1}, id="2-2-8-index1"),
     pytest.param(2, 1, 14, {"amplitude_filter": CALABI_YAU}, id="2-1-14-calabi-yau"),
     pytest.param(2, 2, 7, {"amplitude_filter": CALABI_YAU}, id="2-2-7-calabi-yau"),
+    pytest.param(2, 2, 7, {"index_filter": 1, "amplitude_filter": CALABI_YAU},
+                 id="2-2-7-index1-calabi-yau"),
+    pytest.param(2, 2, 8, {"index_filter": 1, "amplitude_filter": FANO},
+                 id="2-2-8-index1-fano"),
     pytest.param(2, 1, 10, {"exclude_linear_cones": False}, id="2-1-10-cones"),
     pytest.param(2, 2, 6, {"exclude_linear_cones": False}, id="2-2-6-cones"),
     pytest.param(4, 2, 4, {}, id="4-2-4"),
@@ -77,7 +81,8 @@ def test_iter_candidates_matches_literal_filter(dim, codim, max_weight, options)
     # the well-formedness subset sizes depend on dim and codim; at dim 1 and
     # dim 3 a filter hard-coding the dim-2 sizes keeps the wrong descriptors.
     # The index and amplitude filters narrow the degree sums the search
-    # visits, and included linear cones go through the residue screen too.
+    # visits and must all hold, and included linear cones go through the
+    # residue screen too.
     cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
     got = [(d.weights, d.multidegree) for d in iter_candidates(cfg)]
     assert got == literal_candidates(cfg)
@@ -213,6 +218,72 @@ def test_gcd_tables_match_the_subset_gcds():
     # the walk hands every tuple the table of its prefix
     for ws, table in search._sorted_tuples(5, 6):
         assert table == literal_table(ws[:-1])
+
+
+def literal_splits(ws, sums, exclude_linear_cones):
+    """Every split (d1, s - d1), 2 <= d1 <= s/2, of each degree sum s in
+    `sums` that is intersection well-formed (each (n-1)-subset gcd divides
+    both degrees, each (n-2)-subset gcd one of them), has no linear cone
+    when those are excluded, and passes the one-variable clause of the
+    largest weight a (a divides a degree, or both are weight residues)."""
+    both = {math.gcd(*sub) for sub in combinations(ws, len(ws) - 2)}
+    one = {math.gcd(*sub) for sub in combinations(ws, len(ws) - 3)}
+    a = ws[-1]
+    res = {w % a for w in ws}
+    out = []
+    for s in sums:
+        for d1 in range(2, s // 2 + 1):
+            degs = (d1, s - d1)
+            if (all(d % g == 0 for g in both for d in degs)
+                    and all(any(d % g == 0 for d in degs) for g in one)
+                    and not (exclude_linear_cones and set(degs) & set(ws))
+                    and (any(d % a == 0 for d in degs)
+                         or all(d % a in res for d in degs))):
+                out.append(degs)
+    return out
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"index_filter": 1}, {"amplitude_filter": FANO},
+    {"amplitude_filter": CALABI_YAU}, {"exclude_linear_cones": False},
+    {"index_filter": 2, "exclude_linear_cones": False}])
+def test_degree_splits_match_a_literal_filter(options):
+    # the bitmask sieve against the conditions it encodes, one by one, on
+    # seeded ambient well-formed tuples of four, five and six weights
+    rng = random.Random(f"degree-splits-{sorted(options.items())}")
+    for dim, max_weight in ((1, 14), (2, 12), (3, 9)):
+        cfg = SearchConfig(dim=dim, codim=2, max_weight=max_weight, **options)
+        per = search._Progressions(cfg.tuple_length * max_weight)
+        walked = [(ws, table) for ws, table in
+                  search._sorted_tuples(cfg.tuple_length, max_weight)
+                  if is_well_formed(ws)]
+        for ws, table in rng.sample(walked, 40):
+            total = sum(ws)
+            window = range(4, total + 1)
+            if cfg.index_filter is not None:
+                window = range(total - cfg.index_filter, total - cfg.index_filter + 1)
+            elif cfg.amplitude_filter == CALABI_YAU:
+                window = range(total, total + 1)
+            elif cfg.amplitude_filter == FANO:
+                window = range(4, total)
+            step = math.lcm(*(math.gcd(*sub)
+                              for sub in combinations(ws, len(ws) - 2)))
+            sums = [s for s in window if s >= 4 and s % step == 0]
+            got = list(search._degree_splits(cfg, ws, table, step, sums, per))
+            assert got == literal_splits(ws, window, cfg.exclude_linear_cones), ws
+
+
+def test_progression_rows_hold_one_residue_class():
+    bound = 5 * 12
+    per = search._Progressions(bound)
+    assert not per          # rows are built on first use only
+    # 1 to the bound and beyond it: step moduli exceed the largest weight
+    for m in (1, 2, 3, 7, 12, 13, 25, 30, 59, 60, 61, 97):
+        row = per[m]
+        assert len(row) == m
+        for r, bits in enumerate(row):
+            assert bits == sum(1 << d for d in range(bound + 1) if d % m == r), (m, r)
+    assert sorted(per) == [1, 2, 3, 7, 12, 13, 25, 30, 59, 60, 61, 97]
 
 
 @pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
