@@ -3,6 +3,12 @@
 Exit codes: 0 success (and, for verify commands, no violations); 2 usage or
 malformed input; 3 data-integrity failure (table checksum); 4 I/O failure;
 5 mathematical precondition failure (e.g. no enabling term for a normal form).
+
+The indented reports (`analyze --format json` and `normal-form`, to stdout or
+to `--out`) are rendered by `_ReportEncoder`, whose bytes are exactly those of
+`json.dumps(doc, indent=2, sort_keys=True)`.  It accepts only dicts with str
+keys, lists, tuples, str, int, True, False and None, and raises TypeError on
+anything else (a float, a Fraction, a set, a non-str key): reports stay exact.
 """
 
 from __future__ import annotations
@@ -38,6 +44,66 @@ MAX_VALUE = 100_000
 # weight bound stays capped when the filters admit no sum.  The K3 run at
 # --max-weight 100 walks 4.4 million tuples in about half a minute.
 MAX_TUPLE_SUMS = 10**7
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indented(o, pad: str) -> str:
+    """`o` as JSON indented by two spaces per level, keys sorted; `pad` is the
+    newline and indentation of the line that `o` starts on."""
+    kind = type(o)
+    if kind is str:
+        return _quote(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(_entries(o, inner)) + pad + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return ("[" + inner + ("," + inner).join([_indented(v, inner) for v in o])
+                + pad + "]")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not a report value")
+
+
+def _entries(o: dict, pad: str):
+    """The `"key": value` members of `o`, keys sorted, each on a line at `pad`."""
+    for key in sorted(o):
+        if type(key) is not str:
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        yield _quote(key) + ": " + _indented(o[key], pad)
+
+
+class _ReportEncoder(json.JSONEncoder):
+    """Renders a report by recursive joins, for `json.dumps(doc,
+    cls=_ReportEncoder)` and `json.dump`: json's own encoder runs in pure
+    Python whenever it indents."""
+
+    def encode(self, o) -> str:
+        return _indented(o, "\n")
+
+    def iterencode(self, o, _one_shot=False):
+        # json.dump writes a report one top-level member at a time, so the
+        # whole string of a large normal form never exists at once
+        if type(o) is not dict or not o:
+            yield self.encode(o)
+            return
+        sep = "{\n  "
+        for entry in _entries(o, "\n  "):
+            yield sep
+            yield entry
+            sep = ",\n  "
+        yield "\n}"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -136,7 +202,7 @@ def _print_analysis(weights, degrees, fmt) -> int:
         })
 
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, cls=_ReportEncoder))
         return EXIT_OK
     for key, value in doc.items():
         if key == "cylinder":
@@ -277,14 +343,14 @@ def cmd_normal_form(args) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+                json.dump(doc, fh, cls=_ReportEncoder)
                 fh.write("\n")
         except OSError as exc:
             print(f"error writing {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"normal form written to {args.out}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, cls=_ReportEncoder))
     return EXIT_OK
 
 

@@ -578,6 +578,99 @@ def test_normal_form_golden_bytes(tmp_path, capsys, monkeypatch):
     assert got == NORMAL_FORM_GOLDEN_SHA256
 
 
+# quotes, backslashes, control characters, DEL, non-ASCII and astral text
+_AWKWARD_CHARS = 'ab"\\/\x00\x08\t\n\x1f\x7f\xe9Ω \U0001f600 '
+
+
+def _random_report(rng, depth=0):
+    """A nested document of the types reports carry; containers are empty
+    one time in four, at every depth."""
+    kind = rng.randrange(8 if depth < 5 else 3)
+    if kind == 0:
+        return rng.choice((True, False, None))
+    if kind == 1:
+        bits = rng.choice((1, 8, 63, 64, 65, 200))
+        return rng.choice((-1, 1)) * rng.randrange(1 << bits)
+    if kind == 2:
+        return "".join(rng.choice(_AWKWARD_CHARS) for _ in range(rng.randrange(6)))
+    size = 0 if rng.random() < 0.25 else rng.randint(1, 4)
+    if kind in (3, 4):
+        return [_random_report(rng, depth + 1) for _ in range(size)]
+    if kind == 5:
+        return tuple(_random_report(rng, depth + 1) for _ in range(size))
+    return {"".join(rng.choice(_AWKWARD_CHARS) for _ in range(rng.randrange(4))):
+            _random_report(rng, depth + 1) for _ in range(size)}
+
+
+def test_report_encoder_matches_indented_json():
+    rng = random.Random("wfci-report-encoder")
+    docs = [_random_report(rng) for _ in range(2000)]
+    docs += [{}, [], (), "", 0, -(1 << 70), True, False, None,
+             {"k": [[], {}, (), [True, False, None]], "\x00é\"": {"": [{}]}}]
+    texts = []
+    for doc in docs:
+        texts.append(json.dumps(doc, indent=2, sort_keys=True))
+        assert json.dumps(doc, cls=cli._ReportEncoder) == texts[-1], doc
+        assert "".join(cli._ReportEncoder().iterencode(doc)) == texts[-1], doc
+    # the sample holds empty containers as list items at every depth
+    for depth in range(1, 5):
+        pad = "\n" + "  " * depth
+        assert sum(pad + "[]" in t or pad + "{}" in t for t in texts) >= 10, depth
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, {1: 2}])
+def test_report_encoder_refuses_inexact_values(value):
+    for doc in (value, {"a": [value]}, [{"b": value}]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, cls=cli._ReportEncoder)
+
+
+def _generated_normal_form_calls():
+    return [argv for argv in _golden_calls()["other"]
+            if argv[:1] == ["normal-form"] and "--seed" in argv]
+
+
+def _radical_input(directory):
+    """A file input whose coefficients carry sqrt(3)."""
+    member = generic_member((1, 1, 2, 3), 4, seed=0)
+    terms = {exps: Coeff(c.base, Fraction(1, 2), 3) if k % 3 == 0 else c
+             for k, (exps, c) in enumerate(sorted(member.terms.items()))}
+    path = directory / "radical.json"
+    path.write_text(json.dumps(GradedPolynomial((1, 1, 2, 3), 4, terms).to_json()))
+    return ["normal-form", str(path), "--pair", "0,3"]
+
+
+def test_normal_form_out_file_bytes_equal_stdout(tmp_path, capsys):
+    calls = _generated_normal_form_calls() + [_radical_input(tmp_path)]
+    assert len(calls) == 16
+    for k, argv in enumerate(calls):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        dst = tmp_path / f"nf{k}.json"
+        code, note, _ = run(capsys, *argv, "--out", str(dst))
+        assert (code, note) == (0, f"normal form written to {dst}\n"), argv
+        assert dst.read_bytes() == out.encode(), argv
+    assert '"radicand": 3' in out           # the file input's terms
+
+
+def test_reports_render_through_cli_json(capsys, monkeypatch):
+    # perfbench times rendering by wrapping cli.json.dumps: every indented
+    # report must pass through it exactly once
+    rendered = []
+
+    def counting_dumps(doc, **kwargs):
+        rendered.append(doc)
+        return json.dumps(doc, **kwargs)
+    monkeypatch.setattr(cli, "json", argparse.Namespace(**{**vars(json),
+                                                          "dumps": counting_dumps}))
+    calls = _golden_calls()["json"][::10] + _generated_normal_form_calls()
+    for argv in calls:
+        del rendered[:]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(rendered) == 1, argv
+        assert out == json.dumps(rendered[0], indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("index", ["0", "-1"])
 def test_enumerate_rejects_nonpositive_index(capsys, index):
     code, _, err = run(capsys, "enumerate", "--dim", "2", "--codim", "1",
