@@ -9,12 +9,11 @@ from .wps import (ChartDescription, NormalizationTrace, SingularStratum,
                   WeightVector, canonical_degree, is_well_formed, normalize,
                   singular_strata, torus_chart, wps_cylinder)
 from .wci import (AdjunctionData, QsVerdict, WciDescriptor, adjunction,
-                  general_qs, general_qs_ci2, general_qs_hypersurface,
-                  intersection_number, is_quasi_smooth, linear_cone_flags,
-                  well_formed_ci, well_formed_hypersurface)
-from .cylinder import (CylinderVerdict, NormalFormResult, check_codim2_projection,
+                  general_qs, intersection_number, linear_cone_flags,
+                  well_formed_ci)
+from .cylinder import (CylinderVerdict, NormalFormResult,
                        check_codimc_generalized, check_nonexistence,
-                       check_sum_of_two_weights, cylinder_chart, normal_form,
-                       replay_changes, verdict, wps_verdict)
+                       cylinder_chart, normal_form, replay_changes, verdict,
+                       wps_verdict)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from . import __version__, search, tables
 from .cylinder import NormalFormError, normal_form, verdict, wps_verdict
 from .poly import GradedPolynomial
 from .wci import WciDescriptor, adjunction
-from .wps import is_well_formed, normalize, singular_strata
+from .wps import canonical_degree, is_well_formed, normalize, singular_strata
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,8 +33,8 @@ EXIT_MATH = 5
 # Input caps of analyze and normal-form --weights, checked before any
 # arithmetic.  Quasi-smoothness builds one semigroup mask per index subset,
 # of length the largest degree or the weight sum, and keeps none of them: the
-# time of the 2^n masks bounds the arity: `is_quasi_smooth` on 10 weights
-# near the value cap, at degree 199,999, took about 1.1 s and 21 MB.
+# time of the 2^n masks bounds the arity: `general_qs(witnesses=False)` on 10
+# weights near the value cap, at degree 199,999, took about 1.1 s and 21 MB.
 MAX_WEIGHTS = 10
 MAX_VALUE = 100_000
 # Cap of enumerate: the (weight tuple, degree sum) pairs it would visit,
@@ -44,6 +44,10 @@ MAX_VALUE = 100_000
 # weight bound stays capped when the filters admit no sum.  The K3 run at
 # --max-weight 100 walks 4.4 million tuples in about half a minute.
 MAX_TUPLE_SUMS = 10**7
+# Cap of verify-tables --n-max: each series parameter costs about 11 ms, and
+# n <= 1000 checks 38,037 instantiations in 10.6 s at 21 MB (2-vCPU x86-64,
+# CPython 3.11).
+MAX_N = 1000
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -162,19 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_analysis(weights, degrees, fmt) -> int:
     trace = normalize(weights)
+    ambient = trace.input    # the weights as one sorted WeightVector
     doc: dict = {
-        "input_weights": list(trace.input.weights),
+        "input_weights": list(ambient.weights),
         "normalized_weights": list(trace.output.weights),
         "common_factor_removed": trace.common_factor_removed,
         "reduction_divisors": list(trace.divisors),
         "reduction_multipliers": list(trace.multipliers),
-        "ambient_well_formed": is_well_formed(weights),
+        "ambient_well_formed": is_well_formed(ambient),
     }
     if doc["ambient_well_formed"]:
         doc["singular_strata"] = [
             {"indices": sorted(s.indices), "gcd": s.stratum_gcd}
-            for s in singular_strata(weights)]
-        doc["canonical_degree"] = -sum(trace.output.weights)
+            for s in singular_strata(ambient)]
+        doc["canonical_degree"] = canonical_degree(ambient)
     else:
         doc["note"] = ("weights are not well-formed: normalize first (degrees are "
                        "not transported by the reduction)")
@@ -248,8 +253,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
+    if not 1 <= args.n_max <= MAX_N:
+        print(f"error: --n-max must be between 1 and {MAX_N}", file=sys.stderr)
         return EXIT_USAGE
     report = tables.verify_all(args.n_max)
     print(f"checked {report.checked} instantiations "

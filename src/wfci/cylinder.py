@@ -6,7 +6,9 @@ triangular coordinate changes; projecting away one of the two distinguished
 coordinates then exhibits an anti-canonically polar cylinder.  In codimension
 two the analogous double projection needs six distinct indices splitting both
 degrees over two pivots, and the pattern generalizes to codimension c with
-c + c^2 distinct indices.  Linear cones reduce to a smaller weighted space.
+c + c^2 distinct indices; one pivot-partner search, `check_codimc_generalized`,
+finds these indices in every codimension.  Linear cones reduce to a smaller
+weighted space.
 
 Obstruction side: descriptors matching the embedded classification tables are
 certified non-cylindrical where the literature proves it (KKW24 Thm 4.7 for
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import tables, wps
 from .poly import Coeff, GradedPolynomial, substitute
-from .wci import (WciDescriptor, adjunction, is_quasi_smooth, linear_cone_flags,
+from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
 from .wps import (ChartDescription, WeightVector, WpsCylinder, is_well_formed,
                   normalize, torus_chart, wps_cylinder)
@@ -205,31 +207,6 @@ class CylinderVerdict:
 # ---------------------------------------------------------------------------
 # constructive searches (deterministic: ascending scans, first witness)
 # ---------------------------------------------------------------------------
-
-def weight_pairs(weights: Sequence[int], d: int) -> list[tuple[int, int]]:
-    n1 = len(weights)
-    return [(i, j) for i in range(n1) for j in range(i + 1, n1)
-            if weights[i] + weights[j] == d]
-
-
-def check_sum_of_two_weights(desc: WciDescriptor) -> Optional[tuple[int, int]]:
-    """First index pair (i < j) with d = a_i + a_j; None if absent or n < 3."""
-    if desc.codim != 1:
-        raise ValueError("criterion needs codimension 1")
-    if desc.ambient.n < 3:
-        return None
-    cert = check_codimc_generalized(desc)
-    return None if cert is None else (cert.pivots[0], cert.partners[0][0])
-
-
-def check_codim2_projection(desc: WciDescriptor) -> Optional[Codim2Projection]:
-    """Six distinct indices with d_1 = a_i + a_{i1} = a_j + a_{j1} and
-    d_2 = a_i + a_{i2} = a_j + a_{j2}; None below n = 6."""
-    if desc.codim != 2:
-        raise ValueError("criterion needs codimension 2")
-    cert = check_codimc_generalized(desc)
-    return None if cert is None else Codim2Projection(*cert.pivots, *cert.partners)
-
 
 def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]:
     """Backtracking search for c pivots plus c^2 partners, all distinct, with
@@ -597,7 +574,8 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     if not ambient_wf:
         notes.append("ambient weights not well-formed: normalize first")
     cones = linear_cone_flags(desc)
-    qs = is_quasi_smooth(desc) if not cones else None
+    qsv = None if cones else general_qs(desc, witnesses=False)
+    qs = None if qsv is None else qsv.holds
     flags = {"ambient_well_formed": ambient_wf, "well_formed": wf,
              "quasi_smooth": qs, "linear_cones": [list(f) for f in cones]}
     hit = tables.match(desc)
@@ -679,12 +657,7 @@ def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
     ds = tuple(d for k, d in enumerate(desc.multidegree) if k != j)
     notes.append(f"linear cone: degree {desc.multidegree[j]} matches weight "
                  f"index {i}; reduces to weights {ws}, degrees {ds or '()'}")
-    if not ds:
-        cyl = wps_cylinder(ws)
-        cert = LinearCone(j, i, ws, ds, WpsChart.from_cylinder(cyl))
-        return CylinderVerdict(CYLINDRICAL, cert, (CIT_LINEAR_CONE, CIT_WPS_CHART),
-                               None, tuple(notes), flags, hit)
-    inner = verdict(WciDescriptor.of(ws, ds))
+    inner = verdict(WciDescriptor.of(ws, ds)) if ds else wps_verdict(ws)
     cert = LinearCone(j, i, ws, ds, inner.certificate)
     notes.extend(inner.notes)
     if inner.status == UNKNOWN:

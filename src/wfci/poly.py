@@ -12,9 +12,10 @@ The representability helpers (`representable`, `eligible_partners`) answer
 is the arithmetic core of the quasi-smoothness criteria of Iano-Fletcher
 ("Working with weighted complete intersections", Thm 8.1 / 8.7).  That is
 numerical-semigroup membership, and `semigroup_mask` is its one DP, read by
-both helpers, by the quasi-smoothness scan of `wci` (through
+`eligible_partners`, by the quasi-smoothness scan of `wci` (through
 `wci._cached_mask`), and by `monomials_of_degree`, which enters only the
-branches its suffix masks can still complete.
+branches its suffix masks can still complete; `representable` takes the
+first monomial of that walk.
 """
 
 from __future__ import annotations
@@ -308,31 +309,21 @@ def semigroup_mask(gens: Sequence[int], limit: int) -> int:
 
 
 def representable(weights: Sequence[int], subset: Iterable[int], d: int) -> Optional[tuple]:
-    """Lexicographically smallest monomial on `subset` of weighted degree d.
+    """Lexicographically smallest monomial on `subset` of weighted degree d:
+    the first of `monomials_of_degree` on the subset's weights.
 
     Returns an exponent tuple of full length (zeros off the subset), or None
     when no nonnegative combination of the selected weights reaches d.
     """
-    if d < 0:
-        return None
     idx = sorted(set(subset))
     if any(i < 0 or i >= len(weights) for i in idx):
         raise ValueError("subset index out of range")
-    gens = [weights[i] for i in idx]
-    if not (semigroup_mask(gens, d) >> d) & 1:
+    first = next(monomials_of_degree([weights[i] for i in idx], d), None)
+    if first is None:
         return None
-    # greedy smallest-first reconstruction: the smallest exponent whose
-    # remainder the later weights still reach
     exps = [0] * len(weights)
-    remaining = d
-    for pos, i in enumerate(idx):
-        a = gens[pos]
-        suffix = semigroup_mask(gens[pos + 1:], remaining)
-        e = 0
-        while not (suffix >> (remaining - e * a)) & 1:
-            e += 1
+    for i, e in zip(idx, first):
         exps[i] = e
-        remaining -= e * a
     return tuple(exps)
 
 

@@ -67,7 +67,10 @@ class SearchConfig:
 class CandidateRecord:
     descriptor: WciDescriptor
     verdict: cylinder.CylinderVerdict
-    table_hit: Optional[tuple[str, int, Optional[int]]]
+
+    @property
+    def table_hit(self) -> Optional[tuple[str, int, Optional[int]]]:
+        return self.verdict.table_hit
 
     def sort_key(self):
         return (self.descriptor.weights, self.descriptor.multidegree)
@@ -306,11 +309,8 @@ def iter_candidates(config: SearchConfig,
 def run_search(config: SearchConfig,
                prefixes: Optional[set[tuple[int, int]]] = None) -> list[CandidateRecord]:
     """Materialize candidate records (descriptor + verdict + table match)."""
-    records = []
-    for desc in iter_candidates(config, prefixes):
-        v = cylinder.verdict(desc)
-        records.append(CandidateRecord(desc, v, v.table_hit))
-    return records
+    return [CandidateRecord(desc, cylinder.verdict(desc))
+            for desc in iter_candidates(config, prefixes)]
 
 
 def partition(config: SearchConfig, shard_count: int) -> list[set[tuple[int, int]]]:
@@ -345,12 +345,8 @@ def run_search_parallel(config: SearchConfig, jobs: int) -> list[CandidateRecord
     with multiprocessing.Pool(processes=jobs) as pool:
         chunks = pool.map(_shard_worker, [(config, s) for s in shards])
     keys = sorted(k for chunk in chunks for k in chunk)
-    records = []
-    for ws, degs in keys:
-        desc = WciDescriptor.of(ws, degs)
-        v = cylinder.verdict(desc)
-        records.append(CandidateRecord(desc, v, v.table_hit))
-    return records
+    descs = [WciDescriptor.of(ws, degs) for ws, degs in keys]
+    return [CandidateRecord(desc, cylinder.verdict(desc)) for desc in descs]
 
 
 def write_records(records: Sequence[CandidateRecord], path: str,

@@ -7,10 +7,10 @@ linear cones, and computes adjunction data and intersection numbers.
 
 Quasi-smoothness is one scan, `_first_failure`, over the index subsets, with
 one clause table for both codimensions.  Witness-free (`qs_*_fast`,
-`is_quasi_smooth`, `general_qs(witnesses=False)`), it decides singletons by
-residues and larger subsets on semigroup masks, which only the search keeps
-from one degree to the next.  In witness mode (`general_qs`) it records the
-clause each subset passes by and the monomials that show it.
+`general_qs(witnesses=False)`), it decides singletons by residues and larger
+subsets on semigroup masks, which only the search keeps from one degree to
+the next.  In witness mode (`general_qs`) it records the clause each subset
+passes by and the monomials that show it.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class WciDescriptor:
         return {"weights": list(self.weights), "degrees": list(self.multidegree)}
 
 
-def well_formed_hypersurface(desc: WciDescriptor) -> bool:
-    """Hypersurface well-formedness: ambient well-formed and, for every pair
-    of omitted indices, the gcd of the remaining weights divides the degree."""
-    if desc.codim != 1:
-        raise ValueError("hypersurface criterion needs codimension 1")
-    return well_formed_ci(desc)
-
-
 def well_formed_ci(desc: WciDescriptor) -> bool:
     """Complete-intersection well-formedness: for each mu in 1..c, every
     (n-1-c+mu)-subset gcd of the weights divides at least mu of the degrees."""
@@ -118,45 +110,25 @@ class QsVerdict:
     failing_subset: Optional[tuple[int, ...]] = None
 
 
-def _qs_verdict(desc: WciDescriptor, c: int, witnesses: bool) -> QsVerdict:
-    if desc.codim != c:
-        raise ValueError(f"criterion needs codimension {c}")
+def general_qs(desc: WciDescriptor, witnesses: bool = True) -> Optional[QsVerdict]:
+    """Quasi-smoothness of a general member that is not a linear cone; None
+    when no criterion is available (c >= 3).
+
+    Iano-Fletcher Thm 8.1 (c = 1): every nonempty index subset I has a
+    degree-d monomial on I, or at least |I| distinct outside indices e admit
+    a monomial of the shape (I-supported) * x_e.  Thm 8.7 (c = 2), with k = |I|
+    and E_j the eligible partner set of d_j over I: both degrees have a
+    monomial on I; or d_1 does and |E_2| >= k-1 (or symmetrically); or
+    |E_1| >= k, |E_2| >= k and |E_1 u E_2| >= k+1.  No semigroup mask
+    outlives the call.
+    """
+    if desc.codim > 2:
+        return None
     if linear_cone_flags(desc):
         raise ValueError("criterion inapplicable to linear cones")
     found = [] if witnesses else None
     sub = _first_failure(desc.weights, desc.multidegree, None, found)
     return QsVerdict(sub is None, tuple(found or ()), sub)
-
-
-def general_qs_hypersurface(desc: WciDescriptor, witnesses: bool = True) -> QsVerdict:
-    """Quasi-smoothness of a general hypersurface that is not a linear cone.
-
-    For every nonempty index subset I, either some degree-d monomial lives on
-    I, or at least |I| distinct outside indices e admit a monomial of the
-    shape (I-supported) * x_e.
-    """
-    return _qs_verdict(desc, 1, witnesses)
-
-
-def general_qs_ci2(desc: WciDescriptor, witnesses: bool = True) -> QsVerdict:
-    """Quasi-smoothness of a general codimension-2 intersection, neither
-    equation a linear cone.
-
-    Uniform counting form over every nonempty subset I (|I| = k); with E_j the
-    eligible partner set of degree d_j over I, the subset passes if one of:
-      * both degrees have a monomial on I;
-      * d_1 does and |E_2| >= k-1 (or symmetrically);
-      * |E_1| >= k, |E_2| >= k and |E_1 u E_2| >= k+1.
-    At k = 1 this is exactly the single-variable condition.
-    """
-    return _qs_verdict(desc, 2, witnesses)
-
-
-def general_qs(desc: WciDescriptor, witnesses: bool = True) -> Optional[QsVerdict]:
-    """Dispatch on codimension; None when no criterion is available (c >= 3)."""
-    if desc.codim > 2:
-        return None
-    return _qs_verdict(desc, desc.codim, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +283,3 @@ def qs_ci2_fast(ws: tuple[int, ...], d1: int, d2: int,
     """Witness-free codimension-2 criterion, cached as in the hypersurface
     case."""
     return _first_failure(ws, (d1, d2), masks) is None
-
-
-def is_quasi_smooth(desc: WciDescriptor) -> Optional[bool]:
-    """Witness-free quasi-smoothness of a general member that is not a linear
-    cone, keeping no masks; None when no criterion is available (c >= 3).
-    general_qs decides the same question and also gives the witnesses."""
-    if desc.codim > 2:
-        return None
-    fast = qs_hypersurface_fast if desc.codim == 1 else qs_ci2_fast
-    return fast(desc.weights, *desc.multidegree, None)

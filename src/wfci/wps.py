@@ -20,30 +20,17 @@ from .intarith import (bezout, factorize, gcd_many, lcm_many, mat_det,
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights, kept sorted ascending for canonical identity.
-
-    `perm` maps sorted positions back to positions of the constructor input,
-    so chart indices stay meaningful for callers that care about the original
-    coordinate order.
-    """
+    """Positive weights, kept sorted ascending for canonical identity."""
 
     weights: tuple[int, ...]
-    perm: tuple[int, ...] = None
 
     def __post_init__(self):
-        ws = tuple(int(a) for a in self.weights)
+        ws = tuple(sorted(int(a) for a in self.weights))
         if len(ws) < 2:
             raise ValueError("need at least two weights")
         if any(a < 1 for a in ws):
             raise ValueError("weights must be positive")
-        if self.perm is None:
-            order = sorted(range(len(ws)), key=lambda i: ws[i])
-            object.__setattr__(self, "perm", tuple(order))
-            object.__setattr__(self, "weights", tuple(ws[i] for i in order))
-        else:
-            object.__setattr__(self, "weights", ws)
-            if tuple(sorted(ws)) != ws:
-                raise ValueError("weights must be sorted when perm is given")
+        object.__setattr__(self, "weights", ws)
 
     @classmethod
     def of(cls, weights) -> "WeightVector":

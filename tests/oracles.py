@@ -99,6 +99,13 @@ def brute_qs_ci2(ws: tuple[int, ...], d1: int, d2: int) -> bool:
     return True
 
 
+def literal_pair(ws, d):
+    """First index pair i < j, in combinations order, with a_i + a_j = d;
+    None when the degree is no sum of two weights."""
+    return next(((i, j) for i, j in combinations(range(len(ws)), 2)
+                 if ws[i] + ws[j] == d), None)
+
+
 def literal_codim3_assignment(ws, ds):
     """First codimension-3 multi-projection assignment, from the definition:
     pivot triples in combinations order; for each, the nine slots (degree j,

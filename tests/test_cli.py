@@ -86,6 +86,18 @@ def test_verify_tables_reports_known_defect(capsys):
     assert "result: FAIL" in out
 
 
+def test_verify_tables_caps_n_max_before_any_table_read(capsys, monkeypatch):
+    # about 11 ms per series parameter: 10^9 would run for days
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables read on refused input")
+    monkeypatch.setattr(cli.tables, "verify_all", refuse)
+    monkeypatch.setattr(cli.tables, "load_rows", refuse)
+    for n_max in ("1000000000", str(cli.MAX_N + 1), "0"):
+        code, out, err = run(capsys, "verify-tables", "--n-max", n_max)
+        assert (code, out) == (2, ""), n_max
+        assert err.startswith("error: ") and "--n-max" in err, n_max
+
+
 def test_verify_tables_checksum_gate(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "families.csv"
     bad.write_text("table,row\n")

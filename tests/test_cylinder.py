@@ -10,15 +10,13 @@ from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
                            CodimCGeneralized, Codim2Projection,
                            NOT_CYLINDRICAL,
                            NormalFormError, SumOfTwoWeights, TableNonCyl,
-                           UNKNOWN, check_codim2_projection,
-                           check_codimc_generalized, check_nonexistence,
-                           check_sum_of_two_weights, cylinder_chart,
-                           normal_form, replay_changes, verdict, weight_pairs,
-                           wps_verdict)
+                           UNKNOWN, check_codimc_generalized,
+                           check_nonexistence, cylinder_chart, normal_form,
+                           replay_changes, verdict, wps_verdict)
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor
 
-from oracles import literal_codim3_assignment
+from oracles import literal_codim3_assignment, literal_pair
 
 
 def desc(ws, ds):
@@ -27,14 +25,22 @@ def desc(ws, ds):
 
 # --- pair search ------------------------------------------------------------
 
-def test_check_sum_of_two_weights_examples():
-    assert check_sum_of_two_weights(desc((1, 1, 1, 1, 1), 2)) == (0, 1)
-    assert check_sum_of_two_weights(desc((1, 7, 12, 18), 36)) is None
-    assert check_sum_of_two_weights(desc((1, 1, 2, 3), 4)) == (0, 3)
-    with pytest.raises(ValueError):
-        check_sum_of_two_weights(desc((1, 1, 1, 1, 1), (2, 2)))
-    # arity gate: n >= 3
-    assert check_sum_of_two_weights(desc((1, 1, 2), 2)) is None
+def _pair(dd):
+    """The pivot and its partner of the pair search at codimension 1."""
+    cert = check_codimc_generalized(dd)
+    return None if cert is None else (cert.pivots[0], cert.partners[0][0])
+
+
+def test_codimc_generalized_pair_examples():
+    assert _pair(desc((1, 1, 1, 1, 1), 2)) == (0, 1)
+    assert _pair(desc((1, 7, 12, 18), 36)) is None
+    assert _pair(desc((1, 1, 2, 3), 4)) == (0, 3)
+    # arity gate n >= 3 of the sum-of-two-weights cylinder: the conic has a
+    # pair, but its verdict asserts nothing
+    conic = desc((1, 1, 1), 2)
+    assert _pair(conic) == (0, 1)
+    v = verdict(conic)
+    assert (v.status, v.certificate) == (UNKNOWN, None)
 
 
 def test_sum_of_two_weights_certificates_recheck():
@@ -43,20 +49,23 @@ def test_sum_of_two_weights_certificates_recheck():
         ws = tuple(sorted(rng.randrange(1, 15) for _ in range(rng.randrange(4, 7))))
         d = rng.randrange(2, 35)
         dd = desc(ws, (d,))
-        pair = check_sum_of_two_weights(dd)
-        pairs = weight_pairs(ws, d)
-        if pair is None:
-            assert pairs == []
-        else:
-            assert pair == pairs[0]
+        pair = _pair(dd)
+        assert pair == literal_pair(ws, d), (ws, d)
+        if pair is not None:
             assert SumOfTwoWeights(*pair).recheck(dd)
 
 
 # --- codimension-2 projection ------------------------------------------------
 
+def _codim2(dd):
+    """The pair-search result as the certificate of codimension 2."""
+    cert = check_codimc_generalized(dd)
+    return None if cert is None else Codim2Projection(*cert.pivots, *cert.partners)
+
+
 def test_codim2_projection_example():
     d = desc((1, 1, 2, 2, 3, 3, 1), (4, 3))
-    cert = check_codim2_projection(d)
+    cert = _codim2(d)
     assert cert is not None and cert.recheck(d)
     assert len(set(cert.indices())) == 6
 
@@ -69,25 +78,23 @@ def test_codim2_projection_example():
 def test_codim2_projection_surprise_presence():
     # degree 6 = 1+5 = 2+4 and degree 8 = 1+7 = 2+6: all six indices distinct
     d = desc((1, 2, 3, 4, 5, 6, 7), (6, 8))
-    cert = check_codim2_projection(d)
+    cert = _codim2(d)
     assert cert == Codim2Projection(0, 1, (4, 6), (3, 5))
     assert cert.recheck(d)
 
 
 def test_codim2_projection_arity_gate():
-    assert check_codim2_projection(desc((1, 1, 2, 2, 3, 3), (4, 4))) is None
-    with pytest.raises(ValueError):
-        check_codim2_projection(desc((1, 1, 2, 2, 3, 3, 1), 4))
+    assert check_codimc_generalized(desc((1, 1, 2, 2, 3, 3), (4, 4))) is None
 
 
 def test_codim2_projection_remark_example():
     # with three weight-1 coordinates the 12 = 9+3 = 11+1 splittings fit
     d = desc((1, 1, 1, 3, 3, 9, 11), (12, 12))
-    cert = check_codim2_projection(d)
+    cert = _codim2(d)
     assert cert == Codim2Projection(5, 6, (3, 4), (0, 1))
     assert cert.recheck(d)
     # with only two weight-1 coordinates the ambient is too small (n = 5)
-    assert check_codim2_projection(desc((1, 1, 3, 3, 9, 11), (12, 12))) is None
+    assert check_codimc_generalized(desc((1, 1, 3, 3, 9, 11), (12, 12))) is None
 
 
 # --- generalized codimension-c search ----------------------------------------
@@ -115,7 +122,7 @@ def test_codim2_projection_against_naive_six_tuple_scan():
         d1 = rng.randrange(2, 15)
         d2 = rng.randrange(d1, 15)
         dd = desc(ws, (d1, d2))
-        cert = check_codim2_projection(dd)
+        cert = _codim2(dd)
         naive = _naive_codim2_scan(ws, d1, d2)
         assert (cert is None) == (naive is None), (ws, d1, d2)
         if cert is not None:
@@ -166,11 +173,11 @@ def test_codimc_generalized_reduces_to_pair_search():
         d = rng.randrange(2, 30)
         dd = desc(ws, (d,))
         got = check_codimc_generalized(dd)
-        pairs = weight_pairs(ws, d)
+        pair = literal_pair(ws, d)
         if got is None:
-            assert pairs == []
+            assert pair is None
         else:
-            assert (got.pivots[0], got.partners[0][0]) == pairs[0]
+            assert (got.pivots[0], got.partners[0][0]) == pair
             assert got.recheck(dd)
 
 
@@ -190,8 +197,6 @@ def test_codimc_generalized_matches_codim2():
             i, j, i1, j1, i2, j2 = naive
             assert got == CodimCGeneralized((i, j), ((i1, i2), (j1, j2)))
             assert got.recheck(dd)
-            assert check_codim2_projection(dd) == Codim2Projection(
-                i, j, (i1, i2), (j1, j2))
         checked += 1
 
 

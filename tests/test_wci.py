@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from wfci.wci import (WciDescriptor, adjunction, general_qs, general_qs_ci2,
-                      general_qs_hypersurface, intersection_number,
-                      is_quasi_smooth, linear_cone_flags, qs_ci2_fast,
-                      qs_hypersurface_fast, well_formed_ci,
-                      well_formed_hypersurface, CALABI_YAU, FANO, GENERAL_TYPE)
+from wfci.intarith import gcd_many
+from wfci.wci import (WciDescriptor, adjunction, general_qs, intersection_number,
+                      linear_cone_flags, qs_ci2_fast, qs_hypersurface_fast,
+                      well_formed_ci, CALABI_YAU, FANO, GENERAL_TYPE)
+from wfci.wps import is_well_formed
 
 from oracles import brute_qs_ci2, brute_qs_hypersurface, lattice_degree
 
@@ -31,31 +31,35 @@ def test_descriptor_sorts_and_validates():
         desc((1, 1, 1), (0,))
 
 
+def test_descriptor_identity_ignores_input_order():
+    a, b = desc((3, 1, 2), (4,)), desc((1, 2, 3), (4,))
+    assert a == b and hash(a) == hash(b)
+    assert len({desc((5, 1, 3, 2, 4), (8, 6)), desc((1, 2, 3, 4, 5), (6, 8))}) == 1
+
+
 # --- well-formedness --------------------------------------------------------
 
-def test_well_formed_hypersurface_examples():
-    assert well_formed_hypersurface(desc((2, 3, 4, 5), 12))
-    assert not well_formed_hypersurface(desc((1, 1, 2, 2), 3))
-    assert well_formed_hypersurface(desc((1, 1, 1, 1), 3))
-    with pytest.raises(ValueError):
-        well_formed_hypersurface(desc((1, 1, 1, 1, 1), (2, 2)))
-
-
 def test_well_formed_ci_examples():
+    assert well_formed_ci(desc((2, 3, 4, 5), 12))
+    assert not well_formed_ci(desc((1, 1, 2, 2), 3))
+    assert well_formed_ci(desc((1, 1, 1, 1), 3))
     assert well_formed_ci(desc((1, 2, 2, 3, 3), (4, 6)))
     assert well_formed_ci(desc((1, 2, 3, 4, 5), (6, 8)))
     assert well_formed_ci(desc((2, 2, 3, 3, 3), (6, 6)))
 
 
 def test_well_formed_ci_agrees_with_hypersurface_criterion():
+    # Iano-Fletcher 6.10: the ambient is well-formed and, for every pair of
+    # omitted indices, the gcd of the remaining weights divides the degree
     rng = random.Random(500)
     for _ in range(500):
         n1 = rng.randrange(3, 7)
         ws = tuple(sorted(rng.randrange(1, 13) for _ in range(n1)))
         d = rng.randrange(2, 40)
-        a = well_formed_hypersurface(desc(ws, (d,)))
-        b = well_formed_ci(desc(ws, (d,)))
-        assert a == b, (ws, d)
+        literal = is_well_formed(ws) and all(
+            d % gcd_many(tuple(a for k, a in enumerate(ws) if k not in (i, j))) == 0
+            for i in range(n1) for j in range(i + 1, n1))
+        assert well_formed_ci(desc(ws, (d,))) == literal, (ws, d)
 
 
 # --- linear cones -----------------------------------------------------------
@@ -71,16 +75,16 @@ def test_linear_cone_flags_examples():
 # --- quasi-smoothness -------------------------------------------------------
 
 def test_qs_hypersurface_examples():
-    assert general_qs_hypersurface(desc((1, 7, 12, 18), 36)).holds
-    assert general_qs_hypersurface(desc((1, 1, 1, 1), 3)).holds
-    bad = general_qs_hypersurface(desc((2, 2, 2, 3), 9))
+    assert general_qs(desc((1, 7, 12, 18), 36)).holds
+    assert general_qs(desc((1, 1, 1, 1), 3)).holds
+    bad = general_qs(desc((2, 2, 2, 3), 9))
     assert not bad.holds and bad.failing_subset == (0, 1)
     with pytest.raises(ValueError):
-        general_qs_hypersurface(desc((1, 1, 1, 2), 2))
+        general_qs(desc((1, 1, 1, 2), 2))
 
 
 def test_qs_hypersurface_witnesses_are_checkable():
-    v = general_qs_hypersurface(desc((1, 7, 12, 18), 36))
+    v = general_qs(desc((1, 7, 12, 18), 36))
     subsets = {w.subset for w in v.witnesses}
     assert len(subsets) == 15     # all nonempty subsets recorded
     for w in v.witnesses:
@@ -93,11 +97,9 @@ def test_qs_hypersurface_witnesses_are_checkable():
 
 
 def test_qs_ci2_examples():
-    assert general_qs_ci2(desc((1, 2, 2, 3, 3), (4, 6))).holds
-    assert general_qs_ci2(desc((1, 1, 1, 1, 1), (2, 2))).holds
-    assert not general_qs_ci2(desc((3, 3, 3, 3, 4), (5, 7)), witnesses=False).holds
-    with pytest.raises(ValueError):
-        general_qs_ci2(desc((1, 2, 3, 4), 6))
+    assert general_qs(desc((1, 2, 2, 3, 3), (4, 6))).holds
+    assert general_qs(desc((1, 1, 1, 1, 1), (2, 2))).holds
+    assert not general_qs(desc((3, 3, 3, 3, 4), (5, 7)), witnesses=False).holds
 
 
 @pytest.fixture
@@ -131,11 +133,11 @@ def test_qs_hypersurface_matches_brute_force_sample(mask_calls):
         got = qs_hypersurface_fast(ws, d, {})
         expected = brute_qs_hypersurface(ws, d)
         assert got == expected, (ws, d)
-        v = general_qs_hypersurface(desc(ws, (d,)), witnesses=False)
+        v = general_qs(desc(ws, (d,)), witnesses=False)
         assert v.holds == expected
         if not v.holds and len(v.failing_subset) == 1:
             assert not mask_calls, (ws, d)   # singletons are decided by residues
-        w = general_qs_hypersurface(desc(ws, (d,)))
+        w = general_qs(desc(ws, (d,)))
         assert (w.holds, w.failing_subset) == (v.holds, v.failing_subset), (ws, d)
         cases += 1
         small += below
@@ -163,22 +165,22 @@ def test_qs_ci2_matches_brute_force_sample(mask_calls):
         got = qs_ci2_fast(ws, d1, d2, {})
         expected = brute_qs_ci2(ws, d1, d2)
         assert got == expected, (ws, d1, d2)
-        v = general_qs_ci2(desc(ws, (d1, d2)), witnesses=False)
+        v = general_qs(desc(ws, (d1, d2)), witnesses=False)
         assert v.holds == expected
         if not v.holds and len(v.failing_subset) == 1:
             assert not mask_calls, (ws, d1, d2)   # singletons are decided by residues
-        w = general_qs_ci2(desc(ws, (d1, d2)))
+        w = general_qs(desc(ws, (d1, d2)))
         assert (w.holds, w.failing_subset) == (v.holds, v.failing_subset), (ws, d1, d2)
         cases += 1
 
 
-def test_is_quasi_smooth_keeps_no_masks():
+def test_witness_free_general_qs_keeps_no_masks():
     # ten weights near the cli value cap: 1,013 masks of about 10^6 bits
     # each, some 125 MB if every index subset kept its mask for the call
     d = desc(range(99995, 100005), 199999)
     tracemalloc.start()
     try:
-        is_quasi_smooth(d)
+        general_qs(d, witnesses=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,10 +11,10 @@ from wfci.intarith import mat_det, mat_inverse_unimodular
 from oracles import hilbert_dim
 
 
-def test_weight_vector_sorts_and_tracks_permutation():
+def test_weight_vector_sorts_and_validates():
     w = WeightVector.of((5, 1, 3))
     assert w.weights == (1, 3, 5)
-    assert w.perm == (1, 2, 0)
+    assert w == WeightVector.of((1, 3, 5)) and hash(w) == hash(WeightVector.of((1, 3, 5)))
     assert w.n == 2
     with pytest.raises(ValueError):
         WeightVector.of((4,))
