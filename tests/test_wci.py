@@ -39,10 +39,13 @@ def test_descriptor_identity_ignores_input_order():
 
 # --- well-formedness --------------------------------------------------------
 
-def test_well_formed_ci_examples():
+def test_well_formed_hypersurface_examples():
     assert well_formed_ci(desc((2, 3, 4, 5), 12))
     assert not well_formed_ci(desc((1, 1, 2, 2), 3))
     assert well_formed_ci(desc((1, 1, 1, 1), 3))
+
+
+def test_well_formed_ci_examples():
     assert well_formed_ci(desc((1, 2, 2, 3, 3), (4, 6)))
     assert well_formed_ci(desc((1, 2, 3, 4, 5), (6, 8)))
     assert well_formed_ci(desc((2, 2, 3, 3, 3), (6, 6)))
