@@ -22,7 +22,7 @@ from . import __version__, search, tables
 from .cylinder import NormalFormError, normal_form, verdict, wps_verdict
 from .poly import GradedPolynomial
 from .wci import WciDescriptor, adjunction
-from .wps import canonical_degree, is_well_formed, normalize, singular_strata
+from .wps import canonical_degree, normalize, singular_strata
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,7 +173,9 @@ def _print_analysis(weights, degrees, fmt) -> int:
         "common_factor_removed": trace.common_factor_removed,
         "reduction_divisors": list(trace.divisors),
         "reduction_multipliers": list(trace.multipliers),
-        "ambient_well_formed": is_well_formed(ambient),
+        # well-formed: no common factor, and every n of the weights coprime
+        "ambient_well_formed": (trace.common_factor_removed == 1
+                                and all(d == 1 for d in trace.divisors)),
     }
     if doc["ambient_well_formed"]:
         doc["singular_strata"] = [

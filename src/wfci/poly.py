@@ -344,12 +344,30 @@ def eligible_partners(weights: Sequence[int], subset: Iterable[int], d: int) -> 
 # substitution and generic members
 # ---------------------------------------------------------------------------
 
+# term products one substitution may make, in its powers of the replacement
+# and in their products with the terms of p: the powers are kept up to the
+# largest exponent of the substituted variable, so their work and memory
+# grow with its square, which no input cap bounds
+SUBSTITUTE_TERM_CAP = 1_000_000
+
+
+def _charge(work: int, products: int) -> int:
+    """work + products, refused with ValueError beyond SUBSTITUTE_TERM_CAP;
+    called before the products are made."""
+    work += products
+    if work > SUBSTITUTE_TERM_CAP:
+        raise ValueError("substitution needs more than "
+                         f"{SUBSTITUTE_TERM_CAP} term products")
+    return work
+
+
 def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> GradedPolynomial:
     """Substitute x_i <- replacement, a graded coordinate change.
 
     The replacement must be quasi-homogeneous of degree equal to the weight of
     x_i, and must either avoid x_i entirely or have the triangular shape
-    x_i + (terms free of x_i), so that the change is invertible.
+    x_i + (terms free of x_i), so that the change is invertible.  More than
+    SUBSTITUTE_TERM_CAP term products raise ValueError before they are made.
     """
     if replacement.weights != p.weights:
         raise ValueError("ungraded substitution: weight vectors differ")
@@ -366,13 +384,18 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
 
     (dp, tp), (dr, tr) = _integral(p), _integral(replacement)
     top = max((e[i] for e in tp), default=0)
-    # powers[k] is replacement**k over dr**k; each term goes over dp * dr**top
+    # powers[k] is replacement**k over dr**k; each term goes over dp * dr**top.
+    # The powers are built and every product is counted first, since a term's
+    # scale dr**(top - e_i) can be as long as dr**top
     powers = [{tuple(0 for _ in p.weights): (1, 0, 1)}]
+    work = 0
+    while len(powers) <= top:
+        work = _charge(work, len(powers[-1]) * len(tr))
+        powers.append(_mul_into({}, powers[-1], tr))
+    work = _charge(work, sum(len(powers[e[i]]) for e in tp))
     table: dict = {}
     for exps, (a, b, m) in tp.items():
         e_i = exps[i]
-        while len(powers) <= e_i:
-            powers.append(_mul_into({}, powers[-1], tr))
         scale = dr ** (top - e_i)
         stripped = exps[:i] + (0,) + exps[i + 1:]
         _mul_into(table, {stripped: (a * scale, b * scale, m)}, powers[e_i])
@@ -384,12 +407,15 @@ def monomials_of_degree(weights: Sequence[int], d: int,
     """All exponent tuples of weighted degree d, in lexicographic order.
 
     The walk enters only branches whose remainder the later weights still
-    reach (a bit of each suffix's `semigroup_mask`), so every branch it
-    visits ends in a monomial and the cap bounds the work."""
+    reach (a bit of each suffix's `semigroup_mask`), and finds them as the
+    set bits of one mask, so every branch it visits ends in a monomial and
+    the cap bounds the work."""
     if d < 0:
         return
     n = len(weights)
     reach = [semigroup_mask(weights[pos:], d) for pos in range(n + 1)]
+    # the multiples of each weight up to d
+    steps = [semigroup_mask((a,), d) for a in weights[:-1]]
     count = 0
 
     def rec(pos: int, remaining: int, prefix: tuple):
@@ -404,9 +430,13 @@ def monomials_of_degree(weights: Sequence[int], d: int,
         if pos == n - 1:
             yield from rec(n, 0, prefix + (remaining // a,))
             return
-        for e in range(remaining // a + 1):
-            if (reach[pos + 1] >> (remaining - e * a)) & 1:
-                yield from rec(pos + 1, remaining - e * a, prefix + (e,))
+        # the remainders r = remaining - e * a that the later weights reach,
+        # e ascending: the set bits of one mask, highest first
+        left = reach[pos + 1] & steps[pos] << remaining % a & (2 << remaining) - 1
+        while left:
+            r = left.bit_length() - 1
+            left ^= 1 << r
+            yield from rec(pos + 1, r, prefix + ((remaining - r) // a,))
 
     if (reach[0] >> d) & 1:
         yield from rec(0, d, ())

@@ -9,19 +9,23 @@ they reduce to smaller spaces.  Output order is deterministic: lexicographic
 in weights, then degrees; sharded runs cover disjoint first-two-weight
 prefixes and merge to the same record set.
 
-The weight tuples are walked depth first.  Each prefix carries a small table
-of its subset gcds other than 1, only for the four subset sizes that the
+The unit of the search is the prefix: the weight tuple without its last
+weight.  The prefixes are walked depth first, each with a small table of
+its subset gcds other than 1, only for the four subset sizes that the
 well-formedness conditions of the full tuple can still need; the table of
 prefix + (x,) is extended from that of prefix, so every gcd comes from one
-gcd of a carried value with x.  The last weight runs in one flat loop over
-each prefix, which reads the ambient verdict, the step of the degree sums
-and the remaining gcds off the prefix's table.  The first degrees of the
-codimension-2 splits of one degree sum are sieved as one integer bitmask:
-each condition on them (the residues mod the largest weight that the
-quasi-smoothness screen admits, the step, the remaining gcds) is a
-congruence, read from a table of residue-progression masks built lazily
-once per search, and the bounds and linear cones clear bits; the set bits,
-lowest first, are the splits in ascending order.
+gcd of a carried value with x.  A prefix that is not coprime is left whole,
+since no last weight makes its tuples well-formed.  Otherwise its lcm l2
+of the next smaller subset gcds, its weight sum and its linear-cone masks
+are computed once, and the split sieve runs over its last weights x: x
+needs gcd(l2, x) == 1 for the ambient verdict and one gcd per remaining
+table entry for the step of the degree sums and the gcds left to check.
+The first degrees of the codimension-2 splits of one degree sum are sieved
+as one integer bitmask: each condition on them (the residues mod the
+largest weight that the quasi-smoothness screen admits, the step, the
+remaining gcds) is a congruence, read from a table of residue-progression
+masks built lazily once per search, and the bounds and linear cones clear
+bits; the set bits, lowest first, are the splits in ascending order.
 """
 
 from __future__ import annotations
@@ -131,14 +135,19 @@ def _extend(table: tuple[frozenset, ...], x: int) -> tuple[frozenset, ...]:
             frozenset(map(gcd, t3, repeat(x))) - _ONE)
 
 
-def _prefix_tables(length: int, max_weight: int,
-                   prefixes: Optional[set[tuple[int, int]]]
+def _sorted_tuples(length: int, max_weight: int,
+                   prefixes: Optional[set[tuple[int, int]]] = None
                    ) -> Iterator[tuple[tuple[int, ...], tuple[frozenset, ...]]]:
-    """Non-decreasing weight prefixes of `length` >= 2 in lexicographic order,
-    each with its gcd table, depth first so that only one table per level is
-    alive; restricted to the (first, second) weight pairs in `prefixes`."""
+    """The non-decreasing weight prefixes of the tuples of `length` >= 3,
+    that is their first length - 1 weights, in lexicographic order, each with
+    its gcd table: entry i holds the (length - 4 + i)-subset gcds other than
+    1 of the prefix.  Depth first, so that only one table per level is alive;
+    restricted to the (first, second) weight pairs in `prefixes`.  A prefix
+    stands for every tuple prefix + (x,), prefix[-1] <= x <= max_weight."""
+    depth = length - 1
+
     def walk(prefix, table, low):
-        if len(prefix) == length:
+        if len(prefix) == depth:
             yield prefix, table
             return
         for x in range(low, max_weight + 1):
@@ -147,22 +156,12 @@ def _prefix_tables(length: int, max_weight: int,
     return walk((), _EMPTY_TABLE, 1)
 
 
-def _sorted_tuples(length: int, max_weight: int,
-                   prefixes: Optional[set[tuple[int, int]]] = None
-                   ) -> Iterator[tuple[tuple[int, ...], tuple[frozenset, ...]]]:
-    """Non-decreasing weight tuples of `length` >= 3 in lexicographic order,
-    optionally restricted to a set of (first, second) weight prefixes, each
-    with the gcd table of its first length - 1 weights: entry i holds the
-    (length - 4 + i)-subset gcds other than 1 of that prefix."""
-    for prefix, table in _prefix_tables(length - 1, max_weight, prefixes):
-        for x in range(prefix[-1], max_weight + 1):
-            yield prefix + (x,), table
-
-
-def _ambient_well_formed(ws: tuple[int, ...], table: tuple[frozenset, ...]) -> bool:
-    """Every len(ws) - 1 of the weights are coprime: the prefix ws[:-1] is,
-    and every (len(ws) - 2)-subset gcd of the prefix is coprime to ws[-1]."""
-    return not table[3] and gcd(lcm(*table[2]), ws[-1]) == 1
+def _ambient_well_formed(prefix: tuple[int, ...], table: tuple[frozenset, ...]) -> int:
+    """l2, the lcm of the (len(prefix) - 1)-subset gcds of the prefix, or 0
+    when the prefix itself is not coprime.  Every len(prefix) weights of
+    prefix + (x,) are coprime exactly when l2 is nonzero and gcd(l2, x) == 1:
+    the prefix is, and every (len(prefix) - 1)-subset gcd is coprime to x."""
+    return 0 if table[3] else lcm(*table[2])
 
 
 def _sum_gaps(config: SearchConfig) -> tuple[int, int]:
@@ -198,23 +197,26 @@ class _Progressions(dict):
         return row
 
 
-def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
-                   table: tuple[frozenset, ...], step: int, sums: range,
-                   per: _Progressions) -> Iterator[tuple[int, ...]]:
-    """Sorted multidegrees for one ambient well-formed weight tuple, with
-    degree sums in `sums` (the multiples of `step` the amplitude/index filters
-    admit), that pass the linear-cone exclusion and intersection
-    well-formedness (Iano-Fletcher 6.10 / 6.12), by degree sum, then degrees.
+def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
+                   table: tuple[frozenset, ...], l2: int, gaps: tuple[int, int],
+                   per: _Progressions
+                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(ws, degrees) for each tuple ws = prefix + (x,) that is ambient well
+    formed and each of its sorted multidegrees whose degree sum the
+    amplitude/index filters admit (the window `gaps` of `_sum_gaps`), that
+    pass the linear-cone exclusion and intersection well-formedness
+    (Iano-Fletcher 6.10 / 6.12); by x, then degree sum, then degrees.
+    `table` is the prefix's gcd table and `l2` its `_ambient_well_formed`.
 
     With n + 1 weights and c degrees, every (n-1-c+mu)-subset gcd must divide
     at least mu degrees, mu = 1..c.  At mu = c these are the (n-1)-subsets and
     must divide every degree, so all degrees (and their sum) are multiples of
-    `step`, the lcm of those gcds.  At c = 2 the (n-2)-subset gcds must divide
-    one degree; those dividing `step` already divide both.  They are read off
-    `table`, the gcd table of ws[:-1] (see `_sorted_tuples`).
+    the step, the lcm of those gcds: l2 and the gcds of x with the
+    (n-2)-subset gcds of the prefix.  At c = 2 the (n-2)-subset gcds must divide one degree;
+    those dividing the step already divide both.
 
     Each degree is then screened by the one-variable clause of the largest
-    weight a: a degree with no monomial in x_a needs a partner monomial
+    weight a = x: a degree with no monomial in x_a needs a partner monomial
     x_a^m * x_e, so it is congruent mod a to some weight.  At c = 2 a split
     passes when a divides one degree or both residues are weight residues.
     The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
@@ -225,54 +227,71 @@ def _degree_splits(config: SearchConfig, ws: tuple[int, ...],
     2 <= d1 <= s/2, or a cone d1 or s - d1 to clear.  The set bits are
     taken from the lowest up, so the splits come out in ascending d1.
     """
-    cones = set(ws) if config.exclude_linear_cones else ()
-    # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
-    # Thm 8.1 / 8.7): a degree not divisible by a is a weight residue mod a
-    a = ws[-1]
-    res = {b % a for b in ws}
-    if config.codim == 1:
-        for s in sums:
-            if s % a in res and s not in cones:
-                yield (s,)
-        return
-    # the (n-2)-subset gcds that do not divide the step: those of ws[:-1]
-    # and those of its (n-3)-subsets with a
-    rest = [g for g in table[1] if step % g]
-    for g in table[0]:
-        g = gcd(g, a)
-        if step % g and g not in rest:
-            rest.append(g)
-    by_a = per[a]
-    # the cones as first degrees, and mirrored: bit top - c of high_cones
-    # shifted down by top - s is bit s - c
+    lo_gap, hi_gap = gaps
+    floor = 2 * config.codim
+    t0, t1 = table[0], table[1]
+    base = sum(prefix)
+    # the linear cones as first degrees, and mirrored: bit top - c of
+    # high_cones shifted down by top - s is bit s - c
     top = per.bound
+    cone = int(config.exclude_linear_cones)
     low_cones = high_cones = 0
-    for c in cones:
-        low_cones |= 1 << c
-        high_cones |= 1 << top - c
-    for s in sums:
-        sa = s % a
-        mask = by_a[0] | by_a[sa]
-        for r in res:
-            if (sa - r) % a in res:
-                mask |= by_a[r]
-        # a g dividing s divides d1 exactly when it divides d2, so it joins
-        # the step; any other g leaves d1 = 0 or s (mod g)
-        s_step = step
-        for g in rest:
-            sg = s % g
-            if sg:
-                by_g = per[g]
-                mask &= by_g[0] | by_g[sg]
-            else:
-                s_step = lcm(s_step, g)
-        mask &= per[s_step][0] & (2 << s // 2) - 4   # and 2 <= d1 <= s/2
-        mask &= ~(low_cones | high_cones >> top - s)
-        while mask:
-            low = mask & -mask
-            d1 = low.bit_length() - 1
-            yield (d1, s - d1)
-            mask ^= low
+    for b in prefix:
+        low_cones |= cone << b
+        high_cones |= cone << top - b
+    hypersurface = config.codim == 1
+    for x in range(prefix[-1], config.max_weight + 1):
+        if gcd(l2, x) != 1:
+            continue
+        step = lcm(l2, *map(gcd, t1, repeat(x))) if t1 else l2
+        total = base + x
+        lo = max(total - lo_gap, floor)
+        sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
+        if not sums:
+            continue
+        ws = prefix + (x,)
+        low = low_cones | cone << x
+        # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
+        # Thm 8.1 / 8.7): a degree not divisible by x is a weight residue
+        res = {b % x for b in prefix}
+        res.add(0)
+        if hypersurface:
+            for s in sums:
+                if s % x in res and not low >> s & 1:
+                    yield ws, (s,)
+            continue
+        # the (n-2)-subset gcds that do not divide the step: those of the
+        # prefix and those of its (n-3)-subsets with x
+        rest = [g for g in t1 if step % g]
+        for g in t0:
+            g = gcd(g, x)
+            if step % g and g not in rest:
+                rest.append(g)
+        by_x = per[x]
+        high = high_cones | cone << top - x
+        for s in sums:
+            sx = s % x
+            mask = by_x[0] | by_x[sx]
+            for r in res:
+                if (sx - r) % x in res:
+                    mask |= by_x[r]
+            # a g dividing s divides d1 exactly when it divides d2, so it
+            # joins the step; any other g leaves d1 = 0 or s (mod g)
+            s_step = step
+            for g in rest:
+                sg = s % g
+                if sg:
+                    by_g = per[g]
+                    mask &= by_g[0] | by_g[sg]
+                else:
+                    s_step = lcm(s_step, g)
+            mask &= per[s_step][0] & (2 << s // 2) - 4   # and 2 <= d1 <= s/2
+            mask &= ~(low | high >> top - s)
+            while mask:
+                bit = mask & -mask
+                d1 = bit.bit_length() - 1
+                yield ws, (d1, s - d1)
+                mask ^= bit
 
 
 def iter_candidates(config: SearchConfig,
@@ -282,26 +301,19 @@ def iter_candidates(config: SearchConfig,
     deterministic order: weights lexicographically, then degree sum, then
     degrees."""
     quasi_smooth = qs_hypersurface_fast if config.codim == 1 else qs_ci2_fast
-    lo_gap, hi_gap = _sum_gaps(config)
-    if lo_gap < hi_gap:     # the filters admit no degree sum
+    gaps = _sum_gaps(config)
+    if gaps[0] < gaps[1]:     # the filters admit no degree sum
         return
-    floor = 2 * config.codim
     # no degree of a split exceeds the largest weight sum
     per = _Progressions(config.tuple_length * config.max_weight)
-    for ws, table in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
-        if not _ambient_well_formed(ws, table):
+    for prefix, table in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
+        l2 = _ambient_well_formed(prefix, table)
+        if not l2:
             continue
-        # the lcm of the (len(ws) - 2)-subset gcds: those of ws[:-1] and
-        # those of its (len(ws) - 3)-subsets with ws[-1]
-        x = ws[-1]
-        step = lcm(*table[2], *map(gcd, table[1], repeat(x)))
-        total = sum(ws)
-        lo = max(total - lo_gap, floor)
-        sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
-        if not sums:
-            continue
-        masks: dict[tuple[int, ...], tuple[int, int]] = {}
-        for degs in _degree_splits(config, ws, table, step, sums, per):
+        last = None
+        for ws, degs in _degree_splits(config, prefix, table, l2, gaps, per):
+            if ws is not last:      # one tuple object per last weight
+                last, masks = ws, {}
             if quasi_smooth(ws, *degs, masks):
                 yield WciDescriptor.of(ws, degs)
 

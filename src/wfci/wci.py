@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
-from .intarith import gcd_many
 from .poly import representable, semigroup_mask
 from .wps import WeightVector, is_well_formed
 
@@ -76,7 +76,7 @@ def well_formed_ci(desc: WciDescriptor) -> bool:
     for mu in range(1, c + 1):
         # the descriptor's 1 <= c <= n - 1 keeps the subset size in 1..n-1
         for sub in combinations(ws, n - 1 - c + mu):
-            g = gcd_many(sub)
+            g = gcd(*sub)
             if g == 1:
                 continue
             dividing = sum(1 for d in desc.multidegree if d % g == 0)

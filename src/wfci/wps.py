@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .intarith import (bezout, factorize, gcd_many, lcm_many, mat_det,
                        mat_inverse_unimodular, unimodular_complete)
@@ -77,20 +78,16 @@ class NormalizationTrace:
 
 def is_well_formed(w) -> bool:
     """Every n of the n+1 weights are coprime."""
-    w = WeightVector.of(w)
-    ws = w.weights
-    for i in range(len(ws)):
-        if gcd_many(ws[:i] + ws[i + 1:]) != 1:
-            return False
-    return True
+    ws = WeightVector.of(w).weights
+    return all(gcd(*ws[:i], *ws[i + 1:]) == 1 for i in range(len(ws)))
 
 
 def normalize(w) -> NormalizationTrace:
     """Reduce a weight vector to a well-formed representative of the same space."""
     w = WeightVector.of(w)
-    g = gcd_many(w.weights)
+    g = gcd(*w.weights)
     a = tuple(v // g for v in w.weights)
-    divisors = tuple(gcd_many(a[:i] + a[i + 1:]) for i in range(len(a)))
+    divisors = tuple(gcd(*a[:i], *a[i + 1:]) for i in range(len(a)))
     multipliers = tuple(lcm_many(divisors[:i] + divisors[i + 1:]) for i in range(len(a)))
     reduced = []
     for v, e in zip(a, multipliers):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,6 +231,26 @@ def test_enumerate_tuple_cap_boundary(tmp_path, capsys, monkeypatch):
     assert top == 23
 
 
+# sha256 of the full-size closure-c2 and k3-c1 enumerate files, copied from
+# the pins in perfbench/run.py (PINNED_SHA256)
+ENUMERATE_SHA256 = {
+    "closure-c2": "0b1fd1f23c1254a9d86880433dea1a156ce45761154d1b56acec3268312aac56",
+    "k3-c1": "98b66e185e71f11e65014641d606dc32e5b42b2b62495c758bdebb1e6eee1594",
+}
+ENUMERATE_ARGV = {
+    "closure-c2": ["--dim", "2", "--codim", "2", "--index", "1", "--max-weight", "25"],
+    "k3-c1": ["--dim", "2", "--codim", "1", "--amplitude", "CalabiYau", "--max-weight", "50"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE_SHA256))
+def test_enumerate_bytes_match_the_benchmark_pins(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.jsonl"
+    code, _, _ = run(capsys, "enumerate", *ENUMERATE_ARGV[name], "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE_SHA256[name]
+
+
 def test_enumerate_io_failure(capsys):
     code, _, err = run(capsys, "enumerate", "--dim", "2", "--codim", "2",
                        "--index", "1", "--max-weight", "3",
@@ -294,6 +315,17 @@ def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "normal-form", "--weights", "1,1,1,1,1", "--pair", "0,1")
     assert (code, out) == (2, "")
     assert err == "error: monomial count exceeds cap 10\n"
+
+
+def test_normal_form_substitution_cap_exits_2(capsys):
+    # x_0 occurs up to the power 100,001 in the 100,004 monomials: keeping
+    # every power of its replacement would take memory quadratic in that
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-form", "--weights", "1,1,100000", "--pair", "0,2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: substitution needs more than {poly.SUBSTITUTE_TERM_CAP} "
+                   "term products\n")
+    assert time.perf_counter() - start < 60
 
 
 def _refuse_arithmetic(monkeypatch):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from wfci import poly
 from wfci.poly import (Coeff, GradedPolynomial, eligible_partners,
                        generic_member, monomials_of_degree, poly_mul,
                        representable, semigroup_mask, substitute,
@@ -188,6 +189,37 @@ def test_substitute_degree_guard():
     bad = GradedPolynomial((1, 2), 1, {(1, 0): 1})
     with pytest.raises(ValueError):
         substitute(p, 1, bad)
+
+
+def test_substitute_refuses_beyond_the_term_cap(monkeypatch):
+    # (x0 + x1/2)^k has k + 1 terms: building the powers up to 9 takes
+    # 2 * (1 + 2 + ... + 9) = 90 term products, and the ten terms of p then
+    # take 1 + 2 + ... + 10 = 55 more; the cap counts them before any is made
+    w = (1, 1)
+    p = generic_member(w, 9, seed=5)
+    r = GradedPolynomial(w, 1, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    made = []
+    real = poly._mul_into
+
+    def counting(table, left, right):
+        made.append(len(left) * len(right))
+        return real(table, left, right)
+    monkeypatch.setattr(poly, "_mul_into", counting)
+    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 145)
+    expected = substitute(p, 0, r)
+    assert sum(made) == 145
+    made.clear()
+    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 144)
+    with pytest.raises(ValueError, match="^substitution needs more than 144 term products$"):
+        substitute(p, 0, r)
+    assert sum(made) == 90      # the powers, but no product with a term of p
+    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 89)
+    made.clear()
+    with pytest.raises(ValueError):
+        substitute(p, 0, r)
+    assert sum(made) == 72      # the powers up to 8 only
+    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 10**6)
+    assert substitute(p, 0, r) == expected
 
 
 def test_generic_member_counts_and_determinism(monkeypatch):

@@ -215,9 +215,23 @@ def test_gcd_tables_match_the_subset_gcds():
         for j, x in enumerate(ws, 1):
             table = search._extend(table, x)
             assert table == literal_table(tuple(ws[:j])), ws[:j]
-    # the walk hands every tuple the table of its prefix
-    for ws, table in search._sorted_tuples(5, 6):
-        assert table == literal_table(ws[:-1])
+    # the walk hands every prefix its table
+    for prefix, table in search._sorted_tuples(5, 6):
+        assert len(prefix) == 4
+        assert table == literal_table(prefix)
+
+
+def test_ambient_well_formed_reads_the_prefix_table():
+    # prefix + (x,) is well-formed exactly when gcd(l2, x) == 1, and l2 is 0
+    # exactly when the prefix itself is not coprime
+    rng = random.Random("ambient-well-formed")
+    pool = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 15, 21, 30)
+    for _ in range(2000):
+        ws = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(3, 8))))
+        prefix, x = ws[:-1], ws[-1]
+        l2 = search._ambient_well_formed(prefix, literal_table(prefix))
+        assert (l2 == 0) == (math.gcd(*prefix) != 1), prefix
+        assert (math.gcd(l2, x) == 1) == is_well_formed(ws), ws
 
 
 def literal_splits(ws, sums, exclude_linear_cones):
@@ -248,29 +262,36 @@ def literal_splits(ws, sums, exclude_linear_cones):
     {"amplitude_filter": CALABI_YAU}, {"exclude_linear_cones": False},
     {"index_filter": 2, "exclude_linear_cones": False}])
 def test_degree_splits_match_a_literal_filter(options):
-    # the bitmask sieve against the conditions it encodes, one by one, on
-    # seeded ambient well-formed tuples of four, five and six weights
+    # the per-prefix sieve against the conditions it encodes, one by one, on
+    # seeded prefixes of three, four and five weights and every last weight
     rng = random.Random(f"degree-splits-{sorted(options.items())}")
     for dim, max_weight in ((1, 14), (2, 12), (3, 9)):
         cfg = SearchConfig(dim=dim, codim=2, max_weight=max_weight, **options)
         per = search._Progressions(cfg.tuple_length * max_weight)
-        walked = [(ws, table) for ws, table in
-                  search._sorted_tuples(cfg.tuple_length, max_weight)
-                  if is_well_formed(ws)]
-        for ws, table in rng.sample(walked, 40):
-            total = sum(ws)
-            window = range(4, total + 1)
-            if cfg.index_filter is not None:
-                window = range(total - cfg.index_filter, total - cfg.index_filter + 1)
-            elif cfg.amplitude_filter == CALABI_YAU:
-                window = range(total, total + 1)
-            elif cfg.amplitude_filter == FANO:
-                window = range(4, total)
-            step = math.lcm(*(math.gcd(*sub)
-                              for sub in combinations(ws, len(ws) - 2)))
-            sums = [s for s in window if s >= 4 and s % step == 0]
-            got = list(search._degree_splits(cfg, ws, table, step, sums, per))
-            assert got == literal_splits(ws, window, cfg.exclude_linear_cones), ws
+        gaps = search._sum_gaps(cfg)
+        walked = list(search._sorted_tuples(cfg.tuple_length, max_weight))
+        for prefix, table in rng.sample(walked, 16):
+            want = []
+            for x in range(prefix[-1], max_weight + 1):
+                ws = prefix + (x,)
+                if not is_well_formed(ws):
+                    continue
+                total = sum(ws)
+                window = range(4, total + 1)
+                if cfg.index_filter is not None:
+                    window = range(total - cfg.index_filter, total - cfg.index_filter + 1)
+                elif cfg.amplitude_filter == CALABI_YAU:
+                    window = range(total, total + 1)
+                elif cfg.amplitude_filter == FANO:
+                    window = range(4, total)
+                want += [(ws, degs) for degs in
+                         literal_splits(ws, window, cfg.exclude_linear_cones)]
+            l2 = search._ambient_well_formed(prefix, table)
+            if not l2:
+                assert not want, prefix
+                continue
+            got = list(search._degree_splits(cfg, prefix, table, l2, gaps, per))
+            assert got == want, prefix
 
 
 def test_progression_rows_hold_one_residue_class():
@@ -288,15 +309,25 @@ def test_progression_rows_hold_one_residue_class():
 
 @pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
 def test_sorted_tuples_walks_the_whole_box(length, max_weight):
-    # one item per non-decreasing tuple, serially and over the shards: this
-    # is what the benchmark's search.tuples counter counts
+    # one item per non-decreasing prefix of length - 1 weights (this is what
+    # the benchmark's search.tuples counter counts), and the prefixes times
+    # their last weights are the box, serially and over the shards
     cfg = SearchConfig(dim=length - 2, codim=1, max_weight=max_weight)
     box = list(combinations_with_replacement(range(1, max_weight + 1), length))
     assert len(box) == math.comb(max_weight + length - 1, length)
-    assert [ws for ws, _ in search._sorted_tuples(length, max_weight)] == box
-    sharded = [ws for shard in partition(cfg, 3)
-               for ws, _ in search._sorted_tuples(length, max_weight, shard)]
-    assert sorted(sharded) == box
+
+    def tuples(prefixes):
+        return [prefix + (x,) for prefix, _ in prefixes
+                for x in range(prefix[-1], max_weight + 1)]
+    walked = list(search._sorted_tuples(length, max_weight))
+    assert [prefix for prefix, _ in walked] == list(
+        combinations_with_replacement(range(1, max_weight + 1), length - 1))
+    assert tuples(walked) == box
+    shards = [list(search._sorted_tuples(length, max_weight, shard))
+              for shard in partition(cfg, 3)]
+    assert all({prefix[:2] for prefix, _ in walk} <= shard
+               for walk, shard in zip(shards, partition(cfg, 3)))
+    assert sorted(ws for walk in shards for ws in tuples(walk)) == box
 
 
 def test_parallel_equals_serial():
