@@ -27,7 +27,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import tables, wps
-from .poly import Coeff, GradedPolynomial, substitute
+from .poly import (ONE, Coeff, GradedPolynomial, _from_integral, _integral,
+                   _mul_into, _reduced, _substitute_integral, substitute)
 from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
 from .wps import (ChartDescription, WeightVector, WpsCylinder, is_well_formed,
@@ -307,10 +308,6 @@ def _unit_exp(n: int, *indices: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _mono_poly(weights, degree, exps, coeff) -> GradedPolynomial:
-    return GradedPolynomial(weights, degree, {tuple(exps): coeff})
-
-
 def _field_sqrt(value: Coeff, current_m: int) -> tuple[Coeff, int]:
     """Square root of a rational Coeff inside Q(sqrt(m)), adjoining at most one
     new radicand.  Returns (root, radicand actually in play)."""
@@ -365,6 +362,12 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     diagonalizing off, a single square root of its discriminant is adjoined.
     Fails only when no enabling term exists, which the quasi-smoothness of the
     member rules out.
+
+    The changes run on one integral table (`poly._integral`) from F to the
+    result, each left over the least denominator, so every intermediate table
+    is the one replaying the changes would convert; `Coeff`s are made only for
+    the pivot coefficients read, the recorded changes, the result and the
+    remainder.
     """
     i, j = pair
     n = F.nvars
@@ -382,87 +385,91 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
         raise NormalFormError("cross term absent: no enabling term for the pivot pair")
     u, v = chosen
 
+    w, d = F.weights, F.degree
+    # coefficient (a + b*sqrt(m))/D for each {exps: (a, b, m)} of the table
+    D, table = _integral(F)
     ops: list[ChangeOp] = []
-    cur = F
     radicand = 1
-    w = F.weights
-    d = F.degree
 
-    def push(op: ChangeOp):
-        nonlocal cur
-        ops.append(op)
-        cur = op.apply(cur)
+    def coefficient(exps: tuple) -> Coeff:
+        a, b, m = table.get(exps, (0, 0, 1))
+        return Coeff(Fraction(a, D), Fraction(b, D), m)
 
-    def sub_op(var: int, replacement: GradedPolynomial):
-        push(ChangeOp("substitute", var=var, replacement=replacement))
+    def sub_op(var: int, replacement: GradedPolynomial, dr: int, tr: dict):
+        nonlocal D, table
+        ops.append(ChangeOp("substitute", var=var, replacement=replacement))
+        D, table = _reduced(*_substitute_integral(var, D, table, dr, tr))
+
+    def pivot_op(var: int, other: int, c: Coeff):
+        # x_var <- x_var - c * x_other
+        repl = GradedPolynomial(w, w[var], {_unit_exp(n, var): ONE, _unit_exp(n, other): -c})
+        sub_op(var, repl, *_integral(repl))
+
+    def absorb_op(var: int, terms: dict):
+        # x_var <- x_var - sum(terms), the terms read off the table over D
+        dr, tr = _reduced(D, {_unit_exp(n, var): (D, 0, 1),
+                              **{e: (-a, -b, m) for e, (a, b, m) in terms.items()}})
+        sub_op(var, _from_integral(w, w[var], dr, tr), dr, tr)
 
     if w[u] == w[v]:
-        lam = cur.coefficient(_unit_exp(n, u, u))
-        mu = cur.coefficient(_unit_exp(n, v, v))
+        lam = coefficient(_unit_exp(n, u, u))
+        mu = coefficient(_unit_exp(n, v, v))
         if lam.is_zero and not mu.is_zero:
             u, v = v, u
             lam, mu = mu, lam
         if not lam.is_zero:
-            cross = cur.coefficient(_unit_exp(n, u, v))
+            cross = coefficient(_unit_exp(n, u, v))
             if mu.is_zero:
                 # lam x_u^2 + cross x_u x_v: clear the square off the pivot
                 u, v = v, u   # now the square sits on x_v
-                repl = _mono_poly(w, w[u], _unit_exp(n, u), Coeff.of(1)) \
-                    - _mono_poly(w, w[u], _unit_exp(n, v), lam / cross)
-                sub_op(u, repl)
+                pivot_op(u, v, lam / cross)
             else:
                 disc = cross * cross - lam * mu * 4
                 root, radicand = _field_sqrt(disc, radicand)
-                beta = (cross + root) / (lam * 2)
-                repl = _mono_poly(w, w[u], _unit_exp(n, u), Coeff.of(1)) \
-                    - _mono_poly(w, w[u], _unit_exp(n, v), beta)
-                sub_op(u, repl)
-                c1 = cur.coefficient(_unit_exp(n, u, v))
-                repl2 = _mono_poly(w, w[v], _unit_exp(n, v), Coeff.of(1)) \
-                    - _mono_poly(w, w[v], _unit_exp(n, u), lam / c1)
-                sub_op(v, repl2)
+                pivot_op(u, v, (cross + root) / (lam * 2))
+                pivot_op(v, u, lam / coefficient(_unit_exp(n, u, v)))
     else:
         if w[u] > w[v]:
             u, v = v, u   # keep the larger weight on x_v: it then occurs linearly
 
-    cross = cur.coefficient(_unit_exp(n, u, v))
+    cross_exp = _unit_exp(n, u, v)
+    cross = coefficient(cross_exp)
     assert not cross.is_zero
-    if cross != Coeff.of(1):
-        push(ChangeOp("scale", factor=cross.inverse()))
+    if cross != ONE:
+        factor = cross.inverse()
+        ops.append(ChangeOp("scale", factor=factor))
+        fd, ft = _integral(GradedPolynomial(w, 0, {(0,) * n: factor}))
+        D, table = _reduced(D * fd, _mul_into({}, table, ft))
 
     # absorb the x_v-linear coefficient into x_u
     coeff_v = {}
-    for exps, c in cur.terms.items():
+    for exps, t in table.items():
         if exps[v] == 1:
             stripped = tuple(0 if k == v else e for k, e in enumerate(exps))
             if stripped != _unit_exp(n, u):
-                coeff_v[stripped] = c
+                coeff_v[stripped] = t
         elif exps[v] > 1:
             raise AssertionError("pivot variable occurs nonlinearly")
     if coeff_v:
-        repl = _mono_poly(w, w[u], _unit_exp(n, u), Coeff.of(1)) \
-            - GradedPolynomial(w, w[u], coeff_v)
-        sub_op(u, repl)
+        absorb_op(u, coeff_v)
 
     # absorb every remaining x_u-divisible term into x_v
     bulk = {}
-    for exps, c in cur.terms.items():
+    for exps, t in table.items():
         if exps[u] >= 1 and exps[v] == 0:
             lowered = tuple(e - 1 if k == u else e for k, e in enumerate(exps))
-            bulk[lowered] = c
+            bulk[lowered] = t
     if bulk:
-        repl = _mono_poly(w, w[v], _unit_exp(n, v), Coeff.of(1)) \
-            - GradedPolynomial(w, w[v], bulk)
-        sub_op(v, repl)
+        absorb_op(v, bulk)
 
-    cross_exp = _unit_exp(n, u, v)
-    remainder_terms = {e: c for e, c in cur.terms.items() if e != cross_exp}
-    if cur.coefficient(cross_exp) != Coeff.of(1) or any(
+    result = _from_integral(w, d, D, table)
+    remainder_terms = {e: c for e, c in result.terms.items() if e != cross_exp}
+    if result.coefficient(cross_exp) != ONE or any(
             e[u] or e[v] for e in remainder_terms):
         raise AssertionError("normal form postcondition failed")
     remainder = GradedPolynomial(w, d, remainder_terms)
     final_pair = (min(u, v), max(u, v))
-    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), cur,
+    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), result,
                             remainder, radicand if radicand != 1 else None)
 
 

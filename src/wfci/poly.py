@@ -3,9 +3,12 @@
 Coefficients live in Q or in a single real/imaginary quadratic extension
 Q(sqrt(m)) with m a square-free integer; one square root is all the normal
 form construction ever needs.  A polynomial keeps `Coeff` values in a dict
-keyed by exponent tuples; products and substitutions run on integer
-numerators over a common denominator (`_mul_into`, the one product kernel)
-and reduce to `Coeff` once per output term.
+keyed by exponent tuples; products and substitutions run on its integral
+form, integer numerators over a common denominator (`_integral`), through
+`_mul_into`, the one product kernel, and `_substitute_integral`, the one
+substitution body.  `poly_mul` and `substitute` reduce to `Coeff` once per
+output term; the normal form of `cylinder` keeps the integral form through
+all of its changes, over the least denominator (`_reduced`) after each.
 
 The representability helpers (`representable`, `eligible_partners`) answer
 "does a monomial of weighted degree d supported on an index set exist", which
@@ -24,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -270,6 +273,16 @@ def _mul_into(table: dict, left: Mapping, right: Mapping) -> dict:
     return table
 
 
+def _reduced(D: int, table: dict) -> tuple[int, dict]:
+    """(D, table) over the least denominator: both divided by the gcd of D and
+    every numerator, which is what `_integral(_from_integral(...))` gives, in
+    the same term order (up to m where b == 0, which no product reads)."""
+    g = gcd(D, *(x for a, b, _ in table.values() for x in (a, b)))
+    if g == 1:
+        return D, table
+    return D // g, {e: (a // g, b // g, m) for e, (a, b, m) in table.items()}
+
+
 def _from_integral(weights, degree, D: int, table: Mapping) -> GradedPolynomial:
     return GradedPolynomial(weights, degree, (
         (e, Coeff(Fraction(a, D), Fraction(b, D), m)) for e, (a, b, m) in table.items()))
@@ -383,11 +396,25 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
                              "x_i plus terms without it")
 
     (dp, tp), (dr, tr) = _integral(p), _integral(replacement)
+    return _from_integral(p.weights, p.degree, *_substitute_integral(i, dp, tp, dr, tr))
+
+
+def _substitute_integral(i: int, dp: int, tp: Mapping, dr: int, tr: Mapping) -> tuple[int, dict]:
+    """The body of `substitute` on the integral forms (dp, tp) of p and
+    (dr, tr) of a replacement of the checked shape; returns the integral
+    form of the result, over dp * dr**top (top the largest exponent of x_i)."""
     top = max((e[i] for e in tp), default=0)
+    # The k-th power of x_i + R with R != 0 has at least k + 1 terms, one per
+    # power of x_i, and a nonzero replacement free of x_i at least one: so a
+    # lower bound of the count is known, and refused, before any power is built
+    grow = int(len(tr) > 1 and any(e[i] for e in tr))
+    least = len(tr) * (top + grow * top * (top - 1) // 2)
+    _charge(least, sum(1 + grow * e[i] if tr or not e[i] else 0 for e in tp))
     # powers[k] is replacement**k over dr**k; each term goes over dp * dr**top.
     # The powers are built and every product is counted first, since a term's
-    # scale dr**(top - e_i) can be as long as dr**top
-    powers = [{tuple(0 for _ in p.weights): (1, 0, 1)}]
+    # scale dr**(top - e_i) can be as long as dr**top; powers[0] is the
+    # constant 1, whose exponent length only matters when p has a term
+    powers = [{(0,) * len(next(iter(tp), ())): (1, 0, 1)}]
     work = 0
     while len(powers) <= top:
         work = _charge(work, len(powers[-1]) * len(tr))
@@ -399,7 +426,7 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
         scale = dr ** (top - e_i)
         stripped = exps[:i] + (0,) + exps[i + 1:]
         _mul_into(table, {stripped: (a * scale, b * scale, m)}, powers[e_i])
-    return _from_integral(p.weights, p.degree, dp * dr ** top, table)
+    return dp * dr ** top, table
 
 
 def monomials_of_degree(weights: Sequence[int], d: int,

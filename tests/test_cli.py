@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wfci import cli, poly, tables
+from wfci import cli, cylinder, poly, tables
 from wfci.cli import main
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor, general_qs, linear_cone_flags, well_formed_ci
@@ -317,15 +317,26 @@ def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
     assert err == "error: monomial count exceeds cap 10\n"
 
 
-def test_normal_form_substitution_cap_exits_2(capsys):
+def test_normal_form_substitution_cap_exits_2(capsys, monkeypatch):
     # x_0 occurs up to the power 100,001 in the 100,004 monomials: keeping
-    # every power of its replacement would take memory quadratic in that
+    # every power of its replacement would take memory quadratic in that.
+    # The powers' lower bound refuses before any is built, so at most the
+    # rescale of the member's terms is made
+    made = []
+    real = poly._mul_into
+
+    def counting(table, left, right):
+        made.append(len(left) * len(right))
+        return real(table, left, right)
+    monkeypatch.setattr(poly, "_mul_into", counting)
+    monkeypatch.setattr(cylinder, "_mul_into", counting)
     start = time.perf_counter()
     code, out, err = run(capsys, "normal-form", "--weights", "1,1,100000", "--pair", "0,2")
     assert (code, out) == (2, "")
     assert err == (f"error: substitution needs more than {poly.SUBSTITUTE_TERM_CAP} "
                    "term products\n")
     assert time.perf_counter() - start < 60
+    assert sum(made) <= 100_004
 
 
 def _refuse_arithmetic(monkeypatch):

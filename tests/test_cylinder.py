@@ -320,6 +320,37 @@ def test_normal_form_seeded_generic_members():
         assert replay_changes(F, nf.change_sequence) == nf.result
         done += 1
 
+    # members whose coefficients carry one radicand, as the file inputs of the
+    # normal-form golden set; a discriminant that needs a second root refuses
+    rng = random.Random(910)
+    seen = {"done": 0, "radical_scale": 0, "adjoined": 0, "refused": 0}
+    while seen["done"] < 60:
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+        i, j = sorted(rng.sample(range(len(ws)), 2))
+        if rng.random() < 0.5:
+            ws[j] = ws[i]
+        m = rng.choice((2, 3, 5, -1, 7))
+        terms = {}
+        for exps, c in generic_member(ws, ws[i] + ws[j], rng.randrange(1000)).terms.items():
+            if rng.random() < 0.3:
+                c = Coeff(c.base, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), m)
+            terms[exps] = c
+        F = GradedPolynomial(ws, ws[i] + ws[j], terms)
+        try:
+            nf = normal_form(F, (i, j))
+        except ValueError as exc:
+            assert "radic" in str(exc)
+            seen["refused"] += 1
+            continue
+        assert set(nf.result.terms) == set(nf.remainder.terms) | {
+            tuple(int(k in nf.pair) for k in range(len(ws)))}
+        assert replay_changes(F, nf.change_sequence) == nf.result
+        seen["done"] += 1
+        seen["adjoined"] += nf.extension_used is not None
+        seen["radical_scale"] += any(op.kind == "scale" and not op.factor.is_rational
+                                     for op in nf.change_sequence)
+    assert min(seen.values()) >= 5, seen
+
 
 # --- cylinder charts ----------------------------------------------------------
 

@@ -194,7 +194,8 @@ def test_substitute_degree_guard():
 def test_substitute_refuses_beyond_the_term_cap(monkeypatch):
     # (x0 + x1/2)^k has k + 1 terms: building the powers up to 9 takes
     # 2 * (1 + 2 + ... + 9) = 90 term products, and the ten terms of p then
-    # take 1 + 2 + ... + 10 = 55 more; the cap counts them before any is made
+    # take 1 + 2 + ... + 10 = 55 more; that count is also the lower bound of
+    # the k + 1 terms a power of x_i + R has, so a refusal makes no product
     w = (1, 1)
     p = generic_member(w, 9, seed=5)
     r = GradedPolynomial(w, 1, {(1, 0): 1, (0, 1): Fraction(1, 2)})
@@ -208,18 +209,40 @@ def test_substitute_refuses_beyond_the_term_cap(monkeypatch):
     monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 145)
     expected = substitute(p, 0, r)
     assert sum(made) == 145
-    made.clear()
-    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 144)
-    with pytest.raises(ValueError, match="^substitution needs more than 144 term products$"):
-        substitute(p, 0, r)
-    assert sum(made) == 90      # the powers, but no product with a term of p
-    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 89)
-    made.clear()
-    with pytest.raises(ValueError):
-        substitute(p, 0, r)
-    assert sum(made) == 72      # the powers up to 8 only
+    for cap in (144, 89):
+        made.clear()
+        monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", cap)
+        with pytest.raises(ValueError, match=f"^substitution needs more than {cap} term products$"):
+            substitute(p, 0, r)
+        assert made == []
     monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 10**6)
     assert substitute(p, 0, r) == expected
+
+    # (x0 + x1 + x2/2)^k has (k + 1)(k + 2)/2 terms, more than the bound:
+    # the powers up to 4 take 3 * (1 + 3 + 6 + 10) = 60 products and the 15
+    # terms of p 5*1 + 4*3 + 3*6 + 2*10 + 1*15 = 70 more, against a bound of
+    # 3 * (1 + 2 + 3 + 4) + (5*1 + 4*2 + 3*3 + 2*4 + 1*5) = 65; between the
+    # two the exact count refuses after the powers
+    w = (1, 1, 1)
+    p = generic_member(w, 4, seed=2)
+    r = GradedPolynomial(w, 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): Fraction(1, 2)})
+    for cap, products in ((130, 130), (129, 60), (65, 60), (64, 0)):
+        made.clear()
+        monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", cap)
+        if cap == 130:
+            assert substitute(p, 0, r).terms == literal_substitute(p.terms, 0, r.terms, 3)
+        else:
+            with pytest.raises(ValueError, match="term products$"):
+                substitute(p, 0, r)
+        assert sum(made) == products, cap
+
+    # a zero replacement has no power beyond the 0th, so the bound counts
+    # only the terms free of x_i
+    made.clear()
+    monkeypatch.setattr(poly, "SUBSTITUTE_TERM_CAP", 5)
+    assert substitute(p, 0, GradedPolynomial(w, 1, {})) == GradedPolynomial(
+        w, 4, {e: c for e, c in p.terms.items() if e[0] == 0})
+    assert sum(made) == 5
 
 
 def test_generic_member_counts_and_determinism(monkeypatch):
@@ -361,6 +384,41 @@ def test_incompatible_radicands_raise_from_substitute_and_poly_mul():
                                 (1, 0, 0): Coeff(Fraction(0), Fraction(1), 5)})
     with pytest.raises(ValueError, match="^incompatible radicands 5 and 3$"):
         poly_mul(q, s)
+
+
+def test_reduced_matches_the_integral_round_trip():
+    # _reduced(D, T) is _integral(_from_integral(D, T)): the same D, numerators
+    # and term order, with m compared only where b != 0 (no product reads it)
+    rng = random.Random(23)
+    w, deg = (1, 2, 3), 6
+    monos = list(monomials_of_degree(w, deg))
+
+    def normal(table):
+        return [(e, a, b, m if b else 1) for e, (a, b, m) in table.items()]
+
+    seen = {"reduced": 0, "radical": 0, "zero_b_radicand": 0, "negative": 0}
+    tables = [(rng.randint(1, 50), {}) for _ in range(3)]
+    for _ in range(500):
+        common = rng.choice((1, 2, 3, 6, 35, 210))
+        table = {}
+        for e in rng.sample(monos, rng.randint(1, len(monos))):
+            m = rng.choice((1, 2, 3, -1, -7))
+            b = rng.randint(-9, 9) if m != 1 else 0
+            a = rng.randint(-9, 9) if b else rng.choice((-1, 1)) * rng.randint(1, 9)
+            if not b and rng.random() < 0.3:
+                m = rng.choice((2, -7))      # left over after a radical cancelled
+            table[e] = (a * common, b * common, m)
+        tables.append((rng.randint(1, 40) * common, table))
+    for D, table in tables:
+        got_d, got = poly._reduced(D, dict(table))
+        want_d, want = poly._integral(poly._from_integral(w, deg, D, table))
+        assert (got_d, normal(got)) == (want_d, normal(want)), (D, table)
+        seen["reduced"] += got_d != D
+        seen["radical"] += any(b for _, b, _ in table.values())
+        seen["zero_b_radicand"] += any(m != 1 and not b for _, b, m in table.values())
+        seen["negative"] += any(a < 0 or b < 0 for a, b, _ in table.values())
+    assert min(seen.values()) >= 50, seen
+
 
 def test_json_round_trip():
     p = GradedPolynomial((1, 1, 2), 4, {
