@@ -66,15 +66,28 @@ class NormalFormError(ValueError):
 # certificates
 # ---------------------------------------------------------------------------
 
+def _recheck_projection(desc: WciDescriptor, pivots: tuple[int, ...],
+                        partners: tuple[tuple[int, ...], ...]) -> bool:
+    """The one pivot-partner recheck: c pivots, a row of c partners for each,
+    c + c^2 distinct indices of the weights, and a_{pivot_l} +
+    a_{partner_{l,j}} = d_j for every pivot l and degree j."""
+    ws, ds, c = desc.weights, desc.multidegree, desc.codim
+    if len(pivots) != c or len(partners) != c or any(len(row) != c for row in partners):
+        return False
+    used = set(pivots).union(*partners)
+    if len(used) != c + c * c or not all(0 <= k < len(ws) for k in used):
+        return False
+    return all(ws[pivots[l]] + ws[partners[l][j]] == ds[j]
+               for l in range(c) for j in range(c))
+
+
 @dataclass(frozen=True)
 class SumOfTwoWeights:
     i: int
     j: int
 
     def recheck(self, desc: WciDescriptor) -> bool:
-        ws = desc.weights
-        return (desc.codim == 1 and self.i != self.j
-                and ws[self.i] + ws[self.j] == desc.multidegree[0])
+        return _recheck_projection(desc, (self.i,), ((self.j,),))
 
     def to_json(self) -> dict:
         return {"kind": "SumOfTwoWeights", "i": self.i, "j": self.j}
@@ -91,13 +104,8 @@ class Codim2Projection:
         return (self.pivot_a, self.pivot_b) + self.partners_a + self.partners_b
 
     def recheck(self, desc: WciDescriptor) -> bool:
-        ws, (d1, d2) = desc.weights, desc.multidegree
-        six = self.indices()
-        return (len(set(six)) == 6
-                and ws[self.pivot_a] + ws[self.partners_a[0]] == d1
-                and ws[self.pivot_b] + ws[self.partners_b[0]] == d1
-                and ws[self.pivot_a] + ws[self.partners_a[1]] == d2
-                and ws[self.pivot_b] + ws[self.partners_b[1]] == d2)
+        return _recheck_projection(desc, (self.pivot_a, self.pivot_b),
+                                   (self.partners_a, self.partners_b))
 
     def to_json(self) -> dict:
         return {"kind": "Codim2Projection", "pivots": [self.pivot_a, self.pivot_b],
@@ -110,13 +118,7 @@ class CodimCGeneralized:
     partners: tuple[tuple[int, ...], ...]   # partners[l][j]: pivot l, degree j
 
     def recheck(self, desc: WciDescriptor) -> bool:
-        ws, ds = desc.weights, desc.multidegree
-        c = desc.codim
-        used = list(self.pivots) + [p for row in self.partners for p in row]
-        if len(self.pivots) != c or len(set(used)) != c + c * c:
-            return False
-        return all(ws[self.pivots[l]] + ws[self.partners[l][j]] == ds[j]
-                   for l in range(c) for j in range(c))
+        return _recheck_projection(desc, self.pivots, self.partners)
 
     def to_json(self) -> dict:
         return {"kind": "CodimCGeneralized", "pivots": list(self.pivots),
@@ -340,19 +342,6 @@ def _enabling_pairs(F: GradedPolynomial, i: int, j: int) -> list[tuple[int, int]
     return out
 
 
-def _pair_usable(F: GradedPolynomial, u: int, v: int) -> bool:
-    n = F.nvars
-    cross = F.coefficient(_unit_exp(n, u, v))
-    if F.weights[u] != F.weights[v]:
-        return not cross.is_zero
-    lam = F.coefficient(_unit_exp(n, u, u))
-    mu = F.coefficient(_unit_exp(n, v, v))
-    if cross.is_zero and (lam.is_zero or mu.is_zero):
-        return False
-    disc = cross * cross - lam * mu * 4
-    return not disc.is_zero
-
-
 def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     """Bring F of degree a_i + a_j to the exact shape x_i*x_j + G(others).
 
@@ -367,7 +356,8 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     result, each left over the least denominator, so every intermediate table
     is the one replaying the changes would convert; `Coeff`s are made only for
     the pivot coefficients read, the recorded changes, the result and the
-    remainder.
+    remainder.  The pivot pair is chosen on that table too, and its cross,
+    square and discriminant coefficients are read once.
     """
     i, j = pair
     n = F.nvars
@@ -375,15 +365,6 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
         raise ValueError("bad pivot pair")
     if F.weights[i] + F.weights[j] != F.degree:
         raise ValueError("pair weights do not sum to the degree")
-
-    chosen = None
-    for u, v in _enabling_pairs(F, i, j):
-        if _pair_usable(F, u, v):
-            chosen = (u, v)
-            break
-    if chosen is None:
-        raise NormalFormError("cross term absent: no enabling term for the pivot pair")
-    u, v = chosen
 
     w, d = F.weights, F.degree
     # coefficient (a + b*sqrt(m))/D for each {exps: (a, b, m)} of the table
@@ -411,20 +392,34 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
                               **{e: (-a, -b, m) for e, (a, b, m) in terms.items()}})
         sub_op(var, _from_integral(w, w[var], dr, tr), dr, tr)
 
-    if w[u] == w[v]:
+    # the first enabling pair with a cross term, or, at equal weights, a
+    # binary quadratic part of nonzero discriminant
+    for u, v in _enabling_pairs(F, i, j):
+        cross = coefficient(_unit_exp(n, u, v))
+        if w[u] != w[v]:
+            if cross.is_zero:
+                continue
+            break
         lam = coefficient(_unit_exp(n, u, u))
         mu = coefficient(_unit_exp(n, v, v))
+        if cross.is_zero and (lam.is_zero or mu.is_zero):
+            continue
+        disc = cross * cross - lam * mu * 4
+        if not disc.is_zero:
+            break
+    else:
+        raise NormalFormError("cross term absent: no enabling term for the pivot pair")
+
+    if w[u] == w[v]:
         if lam.is_zero and not mu.is_zero:
             u, v = v, u
             lam, mu = mu, lam
         if not lam.is_zero:
-            cross = coefficient(_unit_exp(n, u, v))
             if mu.is_zero:
                 # lam x_u^2 + cross x_u x_v: clear the square off the pivot
                 u, v = v, u   # now the square sits on x_v
                 pivot_op(u, v, lam / cross)
             else:
-                disc = cross * cross - lam * mu * 4
                 root, radicand = _field_sqrt(disc, radicand)
                 pivot_op(u, v, (cross + root) / (lam * 2))
                 pivot_op(v, u, lam / coefficient(_unit_exp(n, u, v)))
@@ -527,9 +522,7 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
 
     complement = tuple(to_original[p] for p in subset)
     index = desc.ambient.total() - desc.multidegree[0]   # anti-canonical degree
-    polar = tuple((orig, Fraction(index, len(complement) * ws[orig]))
-                  for orig in complement)
-    assert sum(c * ws[i] for i, c in polar) == index
+    polar = wps.even_polar_split(index, ws, complement)
     dim = desc.dim
     torus_rank = len(subset) - 1
     return HypersurfaceCylinder(nf.pair, kept, dropped, proj, reduced, chart,
@@ -543,6 +536,8 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
 ALPHA_EXCEPTIONS = {("T3", 1): "the (2n,2n) series in P(1,1,n,n,2n-1) has alpha < 1",
                     ("T2", 2): ("the (6,8) family in P(1,2,3,4,5) splits on a "
                                 "coefficient condition the descriptor does not carry")}
+T1_LOW_N_NOTE = ("infinite-series row at n <= 2: no non-cylindricity "
+                 "statement applies at this parameter")
 
 
 _LOOK_UP = object()
@@ -593,18 +588,18 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     # one pivot-partner search serves every codimension; at c >= 3 qs is
     # None, and a found assignment certifies nothing unconditionally
     c = desc.codim
+    status, cert, cites = UNKNOWN, None, ()
     found = None
     if wf and qs is not False and (c > 1 or desc.ambient.n >= 3):
         found = check_codimc_generalized(desc)
-    constructive: Optional[tuple[object, tuple[str, ...]]] = None
-    conditional: Optional[object] = None
     if found is not None and c == 1:
-        pair = SumOfTwoWeights(found.pivots[0], found.partners[0][0])
-        constructive = (pair, (CIT_SUM_OF_TWO,))
+        status, cites = CYLINDRICAL, (CIT_SUM_OF_TWO,)
+        cert = SumOfTwoWeights(found.pivots[0], found.partners[0][0])
     elif found is not None and c == 2:
-        constructive = (Codim2Projection(*found.pivots, *found.partners), (CIT_CODIM2,))
+        status, cites = CYLINDRICAL, (CIT_CODIM2,)
+        cert = Codim2Projection(*found.pivots, *found.partners)
     elif found is not None:
-        conditional = found
+        cert, cites = found, (CIT_CODIMC,)
         notes.append("multi-projection assignment found; cylindricity "
                      "follows if a general member is quasi-smooth, which "
                      "no criterion decides at codimension >= 3")
@@ -614,36 +609,25 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
         notes.append("table row matched but well-formedness/quasi-smoothness "
                      "hypotheses fail; no non-cylindricity asserted")
         table_cert = None
-
-    if constructive is not None and table_cert is not None:
-        raise ClassificationInconsistency(
-            f"{desc}: constructive certificate {constructive[0]} contradicts "
-            f"table certificate {table_cert}")
-
-    if hit is not None and (hit[0], hit[1]) in ALPHA_EXCEPTIONS and wf and qs:
-        notes.append(ALPHA_EXCEPTIONS[(hit[0], hit[1])])
-    if hit is not None and hit[0] == "T1" and hit[2] is not None \
-            and hit[2] <= 2 and hit[1] != 4 and table_cert is None and wf and qs:
-        notes.append("infinite-series row at n <= 2: no non-cylindricity "
-                     "statement applies at this parameter")
+    if table_cert is not None:
+        if status == CYLINDRICAL:
+            raise ClassificationInconsistency(
+                f"{desc}: constructive certificate {cert} contradicts "
+                f"table certificate {table_cert}")
+        status, cert, cites = NOT_CYLINDRICAL, table_cert, _table_citations(table_cert)
+    elif hit is not None and wf and qs:
+        # under the hypotheses check_nonexistence declines exactly the alpha
+        # exceptions and the T1 rows other than 4 at n <= 2 (T1 has no
+        # sporadic row)
+        notes.append(ALPHA_EXCEPTIONS.get(hit[:2], T1_LOW_N_NOTE))
 
     conjectural = None
     if c == 1 and desc.ambient.n == 3 and wf and qs \
             and adjunction(desc).amplitude == FANO:
-        conjectural = constructive is not None
+        conjectural = status == CYLINDRICAL
         notes.append(CIT_CONJECTURE)
 
-    if constructive is not None:
-        cert, cites = constructive
-        return CylinderVerdict(CYLINDRICAL, cert, cites, conjectural,
-                               tuple(notes), flags, hit)
-    if table_cert is not None:
-        cites = _table_citations(table_cert)
-        return CylinderVerdict(NOT_CYLINDRICAL, table_cert, cites, conjectural,
-                               tuple(notes), flags, hit)
-    cites = (CIT_CODIMC,) if conditional is not None else ()
-    return CylinderVerdict(UNKNOWN, conditional, cites, conjectural,
-                           tuple(notes), flags, hit)
+    return CylinderVerdict(status, cert, cites, conjectural, tuple(notes), flags, hit)
 
 
 def _table_citations(cert: TableNonCyl) -> tuple[str, ...]:
@@ -667,13 +651,12 @@ def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
     inner = verdict(WciDescriptor.of(ws, ds)) if ds else wps_verdict(ws)
     cert = LinearCone(j, i, ws, ds, inner.certificate)
     notes.extend(inner.notes)
+    cites = (CIT_LINEAR_CONE,) + inner.citations
     if inner.status == UNKNOWN:
+        # an undecided target's citations certify nothing here
         notes.append("reduction target undecided")
-        return CylinderVerdict(UNKNOWN, cert, (CIT_LINEAR_CONE,), None,
-                               tuple(notes), flags, hit)
-    return CylinderVerdict(inner.status, cert,
-                           (CIT_LINEAR_CONE,) + inner.citations, None,
-                           tuple(notes), flags, hit)
+        cites = (CIT_LINEAR_CONE,)
+    return CylinderVerdict(inner.status, cert, cites, None, tuple(notes), flags, hit)
 
 
 def wps_verdict(w) -> CylinderVerdict:

@@ -244,8 +244,13 @@ def wps_cylinder(w) -> WpsCylinder:
     ws = trace.output.weights
     idx = _first_coprime_subset(ws)
     chart = torus_chart(trace.output, idx)
-    total = sum(ws)
-    mults = tuple((i, Fraction(total, len(idx) * ws[i])) for i in idx)
-    polar = PolarDivisor(mults)
-    assert polar.degree(ws) == total
+    polar = PolarDivisor(even_polar_split(sum(ws), ws, idx))
     return WpsCylinder(trace, chart, polar)
+
+
+def even_polar_split(degree: int, ws, subset) -> tuple[tuple[int, Fraction], ...]:
+    """The polar divisor of a chart: `degree` split evenly over the
+    hyperplanes {x_i = 0}, i in `subset`, as (i, degree / (|subset| * a_i))."""
+    mults = tuple((i, Fraction(degree, len(subset) * ws[i])) for i in subset)
+    assert sum(c * ws[i] for i, c in mults) == degree
+    return mults

@@ -487,6 +487,62 @@ def test_verdict_certificates_recheck():
             assert cert.recheck(d)
 
 
+_C3 = desc((1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 6), (5, 5, 7))
+_C3_CERT = CodimCGeneralized((0, 6, 9), ((10, 11, 13), (3, 4, 12), (1, 2, 7)))
+
+# (certificate, descriptor) pairs that are right, then wrong ones made from
+# them: a partner replaced by a non-partner, a repeated index (with every sum
+# still right), a pivot or partner tuple of the wrong length, an index out of
+# range, and a descriptor of another codimension
+RIGHT_CERTIFICATES = [
+    (SumOfTwoWeights(0, 3), desc((1, 1, 2, 3), 4)),
+    (SumOfTwoWeights(2, 3), desc((1, 1, 2, 2), 4)),
+    (Codim2Projection(0, 1, (4, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (_C3_CERT, _C3),
+]
+WRONG_CERTIFICATES = [
+    (SumOfTwoWeights(0, 2), desc((1, 1, 2, 3), 4)),
+    (SumOfTwoWeights(2, 2), desc((1, 1, 2, 2), 4)),
+    (SumOfTwoWeights(-1, 0), desc((1, 1, 2, 3), 4)),
+    (SumOfTwoWeights(0, 4), desc((1, 1, 2, 3), 4)),
+    (SumOfTwoWeights(2, 3), desc((1, 1, 2, 2, 3), (4, 4))),
+    (Codim2Projection(0, 1, (2, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Codim2Projection(0, 1, (4, 4), (3, 3)), desc((1, 2, 3, 4, 5, 6, 7), (6, 6))),
+    (Codim2Projection(0, 1, (4,), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Codim2Projection(0, 1, (4, 6, 2), (3, 5, 2)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Codim2Projection(0, 1, (4, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6,))),
+    (Codim2Projection(0, 1, (4, 6), (3, 5)), _C3),
+    (CodimCGeneralized((0, 6, 9), ((8, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
+    (CodimCGeneralized((0, 6, 9), ((11, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
+    (CodimCGeneralized((0, 6), ((10, 11, 13), (3, 4, 12))), _C3),
+    (CodimCGeneralized((0, 6, 9, 5), _C3_CERT.partners), _C3),
+    (CodimCGeneralized((0, 6, 9), ((10, 11), (3, 4), (1, 2))), _C3),
+    (_C3_CERT, desc(_C3.weights, (5, 5))),
+    (CodimCGeneralized((0,), ((3,),)), _C3),
+]
+
+
+@pytest.mark.parametrize("cert, dd", RIGHT_CERTIFICATES)
+def test_right_certificates_recheck(cert, dd):
+    assert cert.recheck(dd)
+
+
+@pytest.mark.parametrize("cert, dd", WRONG_CERTIFICATES)
+def test_wrong_certificates_recheck_false(cert, dd):
+    assert cert.recheck(dd) is False
+
+
+def test_verdict_table_notes():
+    # under the hypotheses, each table row without a certificate says why
+    v = verdict(desc((1, 1, 2, 2, 3), (4, 4)))     # T3 row 1 at n = 2
+    assert v.table_hit == ("T3", 1, 2)
+    assert v.notes == ("the (2n,2n) series in P(1,1,n,n,2n-1) has alpha < 1",)
+    v = verdict(tables.instantiate("T1", 1, 2))   # X(15) in P(1,4,5,7)
+    assert (v.status, v.table_hit) == (UNKNOWN, ("T1", 1, 2))
+    assert v.notes[0] == ("infinite-series row at n <= 2: no non-cylindricity "
+                          "statement applies at this parameter")
+
+
 def test_verdict_codim3_is_conditional():
     # an assignment exists, but with no quasi-smoothness criterion beyond
     # codimension 2 the verdict stays Unknown and marks the certificate
