@@ -59,7 +59,9 @@ class ClassificationInconsistency(RuntimeError):
 
 
 class NormalFormError(ValueError):
-    """No enabling cross term; cannot happen for quasi-smooth members."""
+    """A mathematical precondition of the normal form fails: no enabling cross
+    term (which cannot happen for quasi-smooth members), or coefficients and
+    discriminant root that do not lie in one field Q(sqrt(m))."""
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +312,16 @@ def _unit_exp(n: int, *indices: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _field_sqrt(value: Coeff, current_m: int) -> tuple[Coeff, int]:
-    """Square root of a rational Coeff inside Q(sqrt(m)), adjoining at most one
-    new radicand.  Returns (root, radicand actually in play)."""
+def _field_sqrt(value: Coeff, field_m: int) -> Coeff:
+    """Square root of a rational Coeff in Q(sqrt(field_m)), the field of the
+    input's coefficients (field_m 1 is Q, which the root may extend)."""
     if not value.is_rational:
         raise NormalFormError("second radical adjunction unsupported")
     root = Coeff.sqrt_of(value.base)
-    if root.is_rational:
-        return root, current_m
-    if current_m not in (1, root.m):
-        raise NormalFormError(
-            f"incompatible radicands {root.m} and {current_m}")
-    return root, root.m
+    if field_m != 1 and root.m not in (1, field_m):
+        raise NormalFormError(f"incompatible radicands {root.m} and {field_m}: the "
+                              "discriminant's root lies outside the input's field")
+    return root
 
 
 def _enabling_pairs(F: GradedPolynomial, i: int, j: int) -> list[tuple[int, int]]:
@@ -369,8 +369,14 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     w, d = F.weights, F.degree
     # coefficient (a + b*sqrt(m))/D for each {exps: (a, b, m)} of the table
     D, table = _integral(F)
+    # the input's field is Q(sqrt(m)) for the one m of its irrational terms
+    radicands = sorted({m for _, b, m in table.values() if b})
+    if len(radicands) > 1:
+        raise NormalFormError(f"incompatible radicands {radicands[0]} and "
+                              f"{radicands[1]} in the input coefficients")
+    field_m = radicands[0] if radicands else 1
     ops: list[ChangeOp] = []
-    radicand = 1
+    adjoined = None
 
     def coefficient(exps: tuple) -> Coeff:
         a, b, m = table.get(exps, (0, 0, 1))
@@ -420,7 +426,9 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
                 u, v = v, u   # now the square sits on x_v
                 pivot_op(u, v, lam / cross)
             else:
-                root, radicand = _field_sqrt(disc, radicand)
+                root = _field_sqrt(disc, field_m)
+                if not root.is_rational:
+                    adjoined = root.m
                 pivot_op(u, v, (cross + root) / (lam * 2))
                 pivot_op(v, u, lam / coefficient(_unit_exp(n, u, v)))
     else:
@@ -465,7 +473,7 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     remainder = GradedPolynomial(w, d, remainder_terms)
     final_pair = (min(u, v), max(u, v))
     return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), result,
-                            remainder, radicand if radicand != 1 else None)
+                            remainder, adjoined)
 
 
 # ---------------------------------------------------------------------------

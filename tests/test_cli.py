@@ -294,6 +294,29 @@ def test_normal_form_precondition_failure(tmp_path, capsys):
     assert "cross term absent" in err
 
 
+def _sqrt(k, m):
+    return Coeff(Fraction(0), Fraction(k), m)
+
+
+# a member over two fields, and one over Q(sqrt(3)) whose binary quadratic
+# x0^2 + x0 x1 + x1^2 has discriminant -3, whose root lies outside that field
+FIELD_CLASHES = [
+    ({(1, 1, 0, 0): 1, (0, 0, 2, 0): _sqrt(1, 7), (0, 0, 0, 2): _sqrt(1, 11)},
+     "error: incompatible radicands 7 and 11 in the input coefficients\n"),
+    ({(2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): _sqrt(2, 3),
+      (0, 0, 1, 1): 1},
+     "error: incompatible radicands -3 and 3: the discriminant's root lies "
+     "outside the input's field\n"),
+]
+
+
+@pytest.mark.parametrize("terms, message", FIELD_CLASHES)
+def test_normal_form_field_clash_exits_5(tmp_path, capsys, terms, message):
+    src = tmp_path / "clash.json"
+    src.write_text(json.dumps(GradedPolynomial((1, 1, 1, 1), 2, terms).to_json()))
+    assert run(capsys, "normal-form", str(src), "--pair", "0,1") == (5, "", message)
+
+
 def test_normal_form_missing_file(capsys):
     code, _, err = run(capsys, "normal-form", "/no/such/file.json",
                        "--pair", "0,1")
@@ -617,8 +640,9 @@ def _normal_form_golden_calls(directory):
     return calls
 
 
-# recorded before the normal-form arithmetic moved to integer numerators
-NORMAL_FORM_GOLDEN_SHA256 = "a872dd978bed22a8985faeeb45c2402b1e72b95e9fa3c56ee149a11c73c0a995"
+# recorded when a second radicand, in the input or in the discriminant's
+# root, became a precondition failure (exit 5) instead of a usage error
+NORMAL_FORM_GOLDEN_SHA256 = "8af8b4e9b23c2cb79b032951c8576cd24264aab158b975b7292b9f5baf098571"
 
 
 def test_normal_form_golden_bytes(tmp_path, capsys, monkeypatch):
@@ -629,7 +653,8 @@ def test_normal_form_golden_bytes(tmp_path, capsys, monkeypatch):
     radicands = sum(1 for code, out in seen
                     if code == 0 and json.loads(out)["radicand"] is not None)
     assert len(seen) >= 400 and radicands >= 15
-    assert codes.count(5) >= len(DEGENERATE_MEMBERS) and codes.count(2) >= 1
+    # the field clashes among the file inputs exit 5 too; none is a usage error
+    assert codes.count(5) > len(DEGENERATE_MEMBERS) and 2 not in codes
     assert got == NORMAL_FORM_GOLDEN_SHA256
 
 
