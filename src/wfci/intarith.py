@@ -8,7 +8,7 @@ no overflow failure mode anywhere downstream.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -18,12 +18,7 @@ def gcd_many(values: Sequence[int]) -> int:
         raise ValueError("empty input")
     if any(v < 1 for v in values):
         raise ValueError("values must be positive")
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+    return gcd(*values)
 
 
 def lcm_many(values: Sequence[int]) -> int:
@@ -32,10 +27,7 @@ def lcm_many(values: Sequence[int]) -> int:
         raise ValueError("empty input")
     if any(v < 1 for v in values):
         raise ValueError("values must be positive")
-    m = 1
-    for v in values:
-        m = m * v // gcd(m, v)
-    return m
+    return lcm(*values)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -146,10 +138,7 @@ def mat_inverse_unimodular(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ..
 
 def is_primitive(vector: Sequence[int]) -> bool:
     """True when the entries are not all zero and their gcd is 1."""
-    g = 0
-    for v in vector:
-        g = gcd(g, abs(v))
-    return g == 1
+    return gcd(*vector) == 1
 
 
 def unimodular_complete(vector: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -172,9 +161,7 @@ def _complete(vec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     if n == 1:
         return ((vec[0],),)  # primitive scalar is +-1
     head, last = vec[:-1], vec[-1]
-    g = 0
-    for v in head:
-        g = gcd(g, abs(v))
+    g = gcd(*head)
     if g == 0:
         # all leading entries vanish, so the last one is +-1
         rows = [vec]
