@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__, search, tables
@@ -37,12 +36,9 @@ EXIT_MATH = 5
 # weights near the value cap, at degree 199,999, took about 1.1 s and 21 MB.
 MAX_WEIGHTS = 10
 MAX_VALUE = 100_000
-# Cap of enumerate: the (weight tuple, degree sum) pairs it would visit,
-# comb(max_weight + n, n + 1) sorted tuples of n + 1 weights times the width
-# of each tuple's degree-sum window: 1 under --index or CalabiYau, about
-# (n + 1) * max_weight otherwise, and counted as at least 1 so that the
-# weight bound stays capped when the filters admit no sum.  The K3 run at
-# --max-weight 100 walks 4.4 million tuples in about half a minute.
+# Cap of enumerate on `search.tuple_sums`, the (weight tuple, degree sum)
+# pairs it would visit.  The K3 run at --max-weight 100 walks 4.4 million
+# tuples in about half a minute.
 MAX_TUPLE_SUMS = 10**7
 # Cap of verify-tables --n-max: each series parameter costs about 11 ms, and
 # n <= 1000 checks 38,037 instantiations in 10.6 s at 21 MB (2-vCPU x86-64,
@@ -90,24 +86,11 @@ def _entries(o: dict, pad: str):
 
 class _ReportEncoder(json.JSONEncoder):
     """Renders a report by recursive joins, for `json.dumps(doc,
-    cls=_ReportEncoder)` and `json.dump`: json's own encoder runs in pure
-    Python whenever it indents."""
+    cls=_ReportEncoder)`: json's own encoder runs in pure Python whenever it
+    indents."""
 
     def encode(self, o) -> str:
         return _indented(o, "\n")
-
-    def iterencode(self, o, _one_shot=False):
-        # json.dump writes a report one top-level member at a time, so the
-        # whole string of a large normal form never exists at once
-        if type(o) is not dict or not o:
-            yield self.encode(o)
-            return
-        sep = "{\n  "
-        for entry in _entries(o, "\n  "):
-            yield sep
-            yield entry
-            sep = ",\n  "
-        yield "\n}"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -282,9 +265,7 @@ def cmd_enumerate(args) -> int:
         print(f"error: at most {MAX_WEIGHTS} weights are accepted "
               f"(dim + codim + 1 is {length})", file=sys.stderr)
         return EXIT_USAGE
-    lo_gap, hi_gap = search._sum_gaps(config)
-    width = max(lo_gap - hi_gap + 1, 1)
-    if math.comb(config.max_weight + length - 1, length) * width > MAX_TUPLE_SUMS:
+    if search.tuple_sums(config) > MAX_TUPLE_SUMS:
         print(f"error: more than {MAX_TUPLE_SUMS} degree sums over the weight "
               "tuples to search; lower --max-weight, or give --index or "
               "--amplitude CalabiYau", file=sys.stderr)
@@ -346,18 +327,17 @@ def cmd_normal_form(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = result.to_json()
+    text = json.dumps(result.to_json(), cls=_ReportEncoder)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, cls=_ReportEncoder)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"error writing {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"normal form written to {args.out}")
     else:
-        print(json.dumps(doc, cls=_ReportEncoder))
+        print(text)
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -429,28 +429,22 @@ def _substitute_integral(i: int, dp: int, tp: Mapping, dr: int, tr: Mapping) -> 
     return dp * dr ** top, table
 
 
-def monomials_of_degree(weights: Sequence[int], d: int,
-                        cap: Optional[int] = None) -> Iterator[tuple]:
+def monomials_of_degree(weights: Sequence[int], d: int) -> Iterator[tuple]:
     """All exponent tuples of weighted degree d, in lexicographic order.
 
     The walk enters only branches whose remainder the later weights still
     reach (a bit of each suffix's `semigroup_mask`), and finds them as the
     set bits of one mask, so every branch it visits ends in a monomial and
-    the cap bounds the work."""
+    a consumer that stops after k monomials bounds the work."""
     if d < 0:
         return
     n = len(weights)
     reach = [semigroup_mask(weights[pos:], d) for pos in range(n + 1)]
     # the multiples of each weight up to d
     steps = [semigroup_mask((a,), d) for a in weights[:-1]]
-    count = 0
 
     def rec(pos: int, remaining: int, prefix: tuple):
-        nonlocal count
         if pos == n:
-            count += 1
-            if cap is not None and count > cap:
-                raise ValueError(f"monomial count exceeds cap {cap}")
             yield prefix
             return
         a = weights[pos]
@@ -476,10 +470,13 @@ def generic_member(weights: Sequence[int], d: int, seed: int,
                    cap: int = GENERIC_TERM_CAP) -> GradedPolynomial:
     """A pseudo-generic member of the degree-d linear system: every monomial
     of weighted degree d appears, with a nonzero rational coefficient drawn
-    deterministically from the seed."""
+    deterministically from the seed.  More than `cap` monomials raise
+    ValueError after at most cap + 1 of them, before any coefficient."""
     if d < 1:
         raise ValueError("degree must be positive")
-    monomials = list(monomials_of_degree(weights, d, cap=cap))
+    monomials = list(islice(monomials_of_degree(weights, d), cap + 1))
+    if len(monomials) > cap:
+        raise ValueError(f"monomial count exceeds cap {cap}")
     rng = random.Random((seed, tuple(weights), d).__repr__())
     table = {}
     for exps in monomials:

@@ -34,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import cylinder
@@ -179,6 +179,19 @@ def _sum_gaps(config: SearchConfig) -> tuple[int, int]:
     elif config.amplitude_filter == FANO:
         hi_gap = max(hi_gap, 1)
     return lo_gap, hi_gap
+
+
+def tuple_sums(config: SearchConfig) -> int:
+    """The (weight tuple, degree sum) pairs the search would visit:
+    comb(max_weight + n, n + 1) sorted tuples of n + 1 weights times the
+    width of each tuple's degree-sum window (`_sum_gaps`): 1 under an index
+    or Calabi-Yau filter, about (n + 1) * max_weight otherwise, and counted
+    as at least 1 so that the weight bound stays capped when the filters
+    admit no sum."""
+    lo_gap, hi_gap = _sum_gaps(config)
+    length = config.tuple_length
+    return (comb(config.max_weight + length - 1, length)
+            * max(lo_gap - hi_gap + 1, 1))
 
 
 class _Progressions(dict):

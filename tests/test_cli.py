@@ -691,7 +691,6 @@ def test_report_encoder_matches_indented_json():
     for doc in docs:
         texts.append(json.dumps(doc, indent=2, sort_keys=True))
         assert json.dumps(doc, cls=cli._ReportEncoder) == texts[-1], doc
-        assert "".join(cli._ReportEncoder().iterencode(doc)) == texts[-1], doc
     # the sample holds empty containers as list items at every depth
     for depth in range(1, 5):
         pad = "\n" + "  " * depth

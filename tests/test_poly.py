@@ -263,6 +263,26 @@ def test_generic_member_counts_and_determinism(monkeypatch):
         generic_member((1, 1, 1, 1), 40, seed=1, cap=10)
 
 
+def test_generic_member_cap_stops_the_walk(monkeypatch):
+    # 12,341 monomials of degree 40 in four variables of weight 1: over a cap
+    # of 10, generic_member takes at most 11 of them and draws no coefficient
+    walk, taken = poly.monomials_of_degree, []
+
+    def counting(weights, d):
+        for mono in walk(weights, d):
+            taken.append(mono)
+            yield mono
+
+    def no_coefficients(*args):
+        raise AssertionError("coefficient drawn")
+
+    monkeypatch.setattr(poly, "monomials_of_degree", counting)
+    monkeypatch.setattr(random, "Random", no_coefficients)
+    with pytest.raises(ValueError, match="^monomial count exceeds cap 10$"):
+        generic_member((1, 1, 1, 1), 40, seed=1, cap=10)
+    assert 0 < len(taken) <= 11
+
+
 def test_monomial_walk_enters_only_live_branches():
     # same monomials in the same order as a literal walk of the exponent box
     rng = random.Random(391)
