@@ -24,6 +24,8 @@ from wfci import cli
 SRC = str(Path(cli.__file__).resolve().parents[1])
 MB = 1 << 20
 TEN_AT_VALUE_CAP = ",".join(str(cli.MAX_VALUE - k) for k in range(9, -1, -1))
+TWELVE_AROUND_VALUE_CAP = ",".join(str(cli.MAX_VALUE + k) for k in range(-6, 6))
+THREE_HUNDRED_ONES = ",".join(["1"] * 300)
 OUT = "OUT"   # replaced by a path under the test's own directory
 
 # (argv, exit code, error line or None, CPU seconds, address space in MB)
@@ -38,17 +40,34 @@ CASES = [
     (["analyze", "--weights", "1,2,3,4,5", "--degrees", "100001"],
      2, "error: weights and degrees above 100000 are not accepted",
      10, 512),                                                 # 0.18 s, 21 MB
+    # twelve weights around the value cap once took 10 s and 644 MB of masks
+    (["analyze", "--weights", TWELVE_AROUND_VALUE_CAP, "--degrees", "199999"],
+     2, "error: at most 10 weights are accepted", 10, 512),    # 0.08 s, 21 MB
     # normal-form --weights: the substitution cap of 10^6 term products
     (["normal-form", "--weights", "1,1,800", "--pair", "0,2"],
      0, None, 20, 1024),                                       # 1.8 s, 119 MB
     (["normal-form", "--weights", "1,1,100000", "--pair", "0,2"],
      2, "error: substitution needs more than 1000000 term products",
      20, 1024),                                                # 2.6 s, 108 MB
+    # its powers up to the 1,000th were once built before the refusal
+    (["normal-form", "--weights", "1,1,20000", "--pair", "0,2"],
+     2, "error: substitution needs more than 1000000 term products",
+     10, 1024),                                                # 0.25 s, 34 MB
+    # a 186,643-term member inside the monomial cap, refused only by the
+    # substitution cap after it is built
+    (["normal-form", "--weights", "1,1,1,1,47,47", "--pair", "4,5"],
+     2, "error: substitution needs more than 1000000 term products",
+     20, 2048),                                                # 2.6 s, 203 MB
     # the generic member's cap of 200,000 monomials (142,507 inside)
     (["normal-form", "--weights", "2,2,2,2,2,2,51,50", "--pair", "6,7"],
      0, None, 60, 2048),                                       # 7.0 s, 270 MB
     (["normal-form", "--weights", "1,1,1,1,50,50", "--pair", "4,5"],
      2, "error: monomial count exceeds cap 200000", 10, 1024),  # 0.7 s, 41 MB
+    # more than 10 weights: these once took 12 s at 321 MB and 2.9 GB
+    (["normal-form", "--weights", "1,1,1,1,1,1,1,1,1,1,5,4", "--pair", "10,11"],
+     2, "error: at most 10 weights are accepted", 10, 512),    # 0.10 s, 21 MB
+    (["normal-form", "--weights", THREE_HUNDRED_ONES, "--pair", "0,1"],
+     2, "error: at most 10 weights are accepted", 10, 512),    # 0.09 s, 21 MB
     # enumerate: at most 10 weights (dim + codim + 1) and MAX_TUPLE_SUMS pairs
     # to visit; an admitted run next to 10^7 pairs searches for minutes, so
     # that boundary is tested in-process by test_enumerate_tuple_cap_boundary
