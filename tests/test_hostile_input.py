@@ -63,7 +63,8 @@ CASES = [
      0, None, 60, 2048),                                       # 7.0 s, 270 MB
     (["normal-form", "--weights", "1,1,1,1,50,50", "--pair", "4,5"],
      2, "error: monomial count exceeds cap 200000", 10, 1024),  # 0.7 s, 41 MB
-    # more than 10 weights: these once took 12 s at 321 MB and 2.9 GB
+    # more than 10 weights: twelve once took 12 s at 321 MB, three hundred
+    # peaked at 2.9 GB
     (["normal-form", "--weights", "1,1,1,1,1,1,1,1,1,1,5,4", "--pair", "10,11"],
      2, "error: at most 10 weights are accepted", 10, 512),    # 0.10 s, 21 MB
     (["normal-form", "--weights", THREE_HUNDRED_ONES, "--pair", "0,1"],
