@@ -16,16 +16,20 @@ well-formedness conditions of the full tuple can still need; the table of
 prefix + (x,) is extended from that of prefix, so every gcd comes from one
 gcd of a carried value with x.  A prefix that is not coprime is left whole,
 since no last weight makes its tuples well-formed.  Otherwise its lcm l2
-of the next smaller subset gcds, its weight sum and its linear-cone masks
-are computed once, and the split sieve runs over its last weights x: x
-needs gcd(l2, x) == 1 for the ambient verdict and one gcd per remaining
-table entry for the step of the degree sums and the gcds left to check.
-The first degrees of the codimension-2 splits of one degree sum are sieved
-as one integer bitmask: each condition on them (the residues mod the
-largest weight that the quasi-smoothness screen admits, the step, the
-remaining gcds) is a congruence, read from a table of residue-progression
-masks built lazily once per search, and the bounds and linear cones clear
-bits; the set bits, lowest first, are the splits in ascending order.
+of the next smaller subset gcds and its weight sum give the set of its
+last weights x as one integer bitmask: x must be coprime to l2 for the
+ambient verdict, and with one degree sum per tuple (an index or
+Calabi-Yau filter) that sum must be a multiple of the degree step, which
+is one residue class of x mod l2 and one divisibility row per remaining
+table entry.  Each row is built lazily once per search, and a prefix
+whose mask is empty is left at once.  The set bits, lowest first, are the
+last weights in ascending order.  The first degrees of the
+codimension-2 splits of one degree sum are sieved the same way: each
+condition on them (the residues mod the largest weight that the
+quasi-smoothness screen admits, the step, the remaining gcds) is a
+congruence, read from a table of residue-progression masks, and the
+bounds and linear cones clear bits; the set bits are the splits in
+ascending order.
 """
 
 from __future__ import annotations
@@ -197,16 +201,34 @@ def tuple_sums(config: SearchConfig) -> int:
 class _Progressions(dict):
     """Residue-progression bitmasks up to `bound`: self[m][r] has the bits
     r, r + m, r + 2m, ... <= bound.  A modulus's row is built on its first
-    use, so a search builds only the rows it reads."""
+    use, so a search builds only the rows it reads.  `divides` holds the
+    search's gcd rows to the same bound."""
 
     def __init__(self, bound: int):
         super().__init__()
         self.bound = bound
+        self.divides = _GcdRows(bound)
 
     def __missing__(self, m: int) -> list[int]:
         full = (2 << self.bound) - 1
         base = sum(1 << k for k in range(0, self.bound + 1, m))
         row = self[m] = [base << r & full for r in range(m)]
+        return row
+
+
+class _GcdRows(dict):
+    """Bitmasks up to `bound`: self[g, c] has the bits x, 1 <= x <= bound,
+    with gcd(g, x) dividing c (self[g, 1]: the x coprime to g).  A row is
+    built on its first use."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        g, c = key
+        row = self[key] = sum(1 << x for x in range(1, self.bound + 1)
+                              if c % gcd(g, x) == 0)
         return row
 
 
@@ -234,16 +256,42 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     passes when a divides one degree or both residues are weight residues.
     The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
 
+    The last weights x are sieved as one bitmask per prefix (bit x set iff
+    x may pass), built from the rows of `per`: prefix[-1] <= x <=
+    max_weight and gcd(l2, x) == 1.  With one degree sum per tuple
+    (lo_gap == hi_gap) it is s = u + x, u = sum(prefix) - lo_gap, and the
+    step divides s exactly when l2 divides u + x, which forces gcd(l2, x)
+    = gcd(l2, u) (no x passes unless that is 1) and leaves one residue
+    class of x mod l2, and when each gcd(g, x), g in the prefix's
+    (n-2)-subset gcds, divides u (it divides x already).  So, with one
+    degree sum, no x is visited whose tuple has none that is admissible.
+
     At c = 2 the first degrees d1 of one degree sum s are sieved as one
     bitmask (bit d1 set iff d1 passes): every condition above is a
     congruence of d1, read from the progression rows of `per`, or a bound
-    2 <= d1 <= s/2, or a cone d1 or s - d1 to clear.  The set bits are
-    taken from the lowest up, so the splits come out in ascending d1.
+    2 <= d1 <= s/2, or a cone d1 or s - d1 to clear.  The set bits of both
+    masks are taken from the lowest up, so the tuples come out in
+    ascending x and the splits in ascending d1.
     """
     lo_gap, hi_gap = gaps
     floor = 2 * config.codim
     t0, t1 = table[0], table[1]
     base = sum(prefix)
+    first = prefix[-1]
+    single = lo_gap == hi_gap
+    if single:
+        u = base - lo_gap
+        if gcd(l2, u) != 1:
+            return
+        first = max(first, floor - u)       # s >= floor
+        xs = per[l2][-u % l2]
+        for g in t1:
+            xs &= per.divides[g, gcd(g, u)]
+    else:
+        xs = per.divides[l2, 1]
+    xs &= (2 << config.max_weight) - 1 >> first << first
+    if not xs:
+        return
     # the linear cones as first degrees, and mirrored: bit top - c of
     # high_cones shifted down by top - s is bit s - c
     top = per.bound
@@ -252,22 +300,31 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     for b in prefix:
         low_cones |= cone << b
         high_cones |= cone << top - b
+    # every prefix weight b <= x, so its residue mod x is b, or 0 at b = x
+    residues = {0, *prefix}
+    last_residues = residues - {prefix[-1]}
     hypersurface = config.codim == 1
-    for x in range(prefix[-1], config.max_weight + 1):
-        if gcd(l2, x) != 1:
-            continue
-        step = lcm(l2, *map(gcd, t1, repeat(x))) if t1 else l2
+    # the step bounds the sums of a window and the first degrees of splits;
+    # one hypersurface sum needs none, since the mask made the step divide it
+    steps = t1 and not (single and hypersurface)
+    while xs:
+        bit = xs & -xs
+        x = bit.bit_length() - 1
+        xs ^= bit
+        step = lcm(l2, *map(gcd, t1, repeat(x))) if steps else l2
         total = base + x
-        lo = max(total - lo_gap, floor)
-        sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
-        if not sums:
-            continue
+        if single:
+            sums = total - lo_gap,
+        else:
+            lo = max(total - lo_gap, floor)
+            sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
+            if not sums:
+                continue
         ws = prefix + (x,)
         low = low_cones | cone << x
         # quasi-smoothness at the vertex of the largest weight (Iano-Fletcher
         # Thm 8.1 / 8.7): a degree not divisible by x is a weight residue
-        res = {b % x for b in prefix}
-        res.add(0)
+        res = residues if x > prefix[-1] else last_residues
         if hypersurface:
             for s in sums:
                 if s % x in res and not low >> s & 1:

@@ -234,20 +234,24 @@ def test_ambient_well_formed_reads_the_prefix_table():
         assert (math.gcd(l2, x) == 1) == is_well_formed(ws), ws
 
 
-def literal_splits(ws, sums, exclude_linear_cones):
-    """Every split (d1, s - d1), 2 <= d1 <= s/2, of each degree sum s in
-    `sums` that is intersection well-formed (each (n-1)-subset gcd divides
-    both degrees, each (n-2)-subset gcd one of them), has no linear cone
-    when those are excluded, and passes the one-variable clause of the
-    largest weight a (a divides a degree, or both are weight residues)."""
+def literal_splits(ws, sums, codim, exclude_linear_cones):
+    """Every sorted multidegree of each degree sum s in `sums`, with degrees
+    >= 2 (s itself at codimension 1, (d1, s - d1), 2 <= d1 <= s/2, at
+    codimension 2), that is intersection well-formed (each (n-1)-subset gcd
+    divides every degree, and at codimension 2 each (n-2)-subset gcd one of
+    them), has no linear cone when those are excluded, and passes the
+    one-variable clause of the largest weight a (a divides a degree, or
+    every degree is a weight residue)."""
     both = {math.gcd(*sub) for sub in combinations(ws, len(ws) - 2)}
-    one = {math.gcd(*sub) for sub in combinations(ws, len(ws) - 3)}
+    one = ({math.gcd(*sub) for sub in combinations(ws, len(ws) - 3)}
+           if codim == 2 else set())
     a = ws[-1]
     res = {w % a for w in ws}
     out = []
     for s in sums:
-        for d1 in range(2, s // 2 + 1):
-            degs = (d1, s - d1)
+        splits = ([(s,)] if s >= 2 else []) if codim == 1 else \
+            [(d1, s - d1) for d1 in range(2, s // 2 + 1)]
+        for degs in splits:
             if (all(d % g == 0 for g in both for d in degs)
                     and all(any(d % g == 0 for d in degs) for g in one)
                     and not (exclude_linear_cones and set(degs) & set(ws))
@@ -257,41 +261,94 @@ def literal_splits(ws, sums, exclude_linear_cones):
     return out
 
 
+def literal_window(cfg, total):
+    """The degree sums the config's filters admit for a tuple of weight sum
+    `total` (from the floor 2 * codim up)."""
+    floor = 2 * cfg.codim
+    if cfg.index_filter is not None:
+        return range(total - cfg.index_filter, total - cfg.index_filter + 1)
+    if cfg.amplitude_filter == CALABI_YAU:
+        return range(total, total + 1)
+    if cfg.amplitude_filter == FANO:
+        return range(floor, total)
+    return range(floor, total + 1)
+
+
+def literal_prefix_splits(cfg, prefix):
+    """The (ws, degrees) of every well-formed prefix + (x,), by x."""
+    want = []
+    for x in range(prefix[-1], cfg.max_weight + 1):
+        ws = prefix + (x,)
+        if is_well_formed(ws):
+            want += [(ws, degs) for degs in literal_splits(
+                ws, literal_window(cfg, sum(ws)), cfg.codim, cfg.exclude_linear_cones)]
+    return want
+
+
+def check_prefix(cfg, prefix, table, per):
+    """_degree_splits of the prefix against the literal filter; the
+    prefix's l2."""
+    want = literal_prefix_splits(cfg, prefix)
+    l2 = search._ambient_well_formed(prefix, table)
+    if not l2:
+        assert not want, prefix
+        return l2
+    got = list(search._degree_splits(cfg, prefix, table, l2, search._sum_gaps(cfg), per))
+    assert got == want, prefix
+    return l2
+
+
 @pytest.mark.parametrize("options", [
     {}, {"index_filter": 1}, {"amplitude_filter": FANO},
     {"amplitude_filter": CALABI_YAU}, {"exclude_linear_cones": False},
     {"index_filter": 2, "exclude_linear_cones": False}])
 def test_degree_splits_match_a_literal_filter(options):
     # the per-prefix sieve against the conditions it encodes, one by one, on
-    # seeded prefixes of three, four and five weights and every last weight
+    # seeded prefixes of two to five weights and every last weight, for
+    # hypersurfaces and codimension 2
     rng = random.Random(f"degree-splits-{sorted(options.items())}")
-    for dim, max_weight in ((1, 14), (2, 12), (3, 9)):
-        cfg = SearchConfig(dim=dim, codim=2, max_weight=max_weight, **options)
+    for codim, dim, max_weight in ((1, 1, 20), (1, 2, 14), (1, 3, 10),
+                                   (2, 1, 14), (2, 2, 12), (2, 3, 9)):
+        cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
         per = search._Progressions(cfg.tuple_length * max_weight)
-        gaps = search._sum_gaps(cfg)
         walked = list(search._sorted_tuples(cfg.tuple_length, max_weight))
         for prefix, table in rng.sample(walked, 16):
-            want = []
-            for x in range(prefix[-1], max_weight + 1):
-                ws = prefix + (x,)
-                if not is_well_formed(ws):
-                    continue
-                total = sum(ws)
-                window = range(4, total + 1)
-                if cfg.index_filter is not None:
-                    window = range(total - cfg.index_filter, total - cfg.index_filter + 1)
-                elif cfg.amplitude_filter == CALABI_YAU:
-                    window = range(total, total + 1)
-                elif cfg.amplitude_filter == FANO:
-                    window = range(4, total)
-                want += [(ws, degs) for degs in
-                         literal_splits(ws, window, cfg.exclude_linear_cones)]
-            l2 = search._ambient_well_formed(prefix, table)
+            check_prefix(cfg, prefix, table, per)
+
+
+@pytest.mark.parametrize("codim,sizes", [
+    pytest.param(1, ((1, 40), (2, 22), (3, 12)), id="codim1"),
+    pytest.param(2, ((1, 24), (2, 14), (3, 8)), id="codim2")])
+@pytest.mark.parametrize("options", [
+    pytest.param({"index_filter": 1}, id="index1"),
+    pytest.param({"index_filter": 2}, id="index2"),
+    pytest.param({"amplitude_filter": CALABI_YAU}, id="calabi-yau")])
+def test_single_sum_mask_matches_a_literal_filter_on_every_prefix(options, codim, sizes):
+    # with one degree sum s = u + x per tuple, u = sum(prefix) - gap, the
+    # last weights are sieved as a mask; every walked prefix is compared,
+    # and the run must reach both ways a prefix is left before its last
+    # weights: gcd(l2, u) != 1 (under an index; at Calabi-Yau u is the
+    # prefix's weight sum, and each (n-1)-subset gcd of a coprime prefix is
+    # coprime to it), and no x whose sum is a multiple of the step
+    gap = options.get("index_filter", 0)
+    left_by_gcd = empty_masks = 0
+    for dim, max_weight in sizes:
+        cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
+        per = search._Progressions(cfg.tuple_length * max_weight)
+        for prefix, table in search._sorted_tuples(cfg.tuple_length, max_weight):
+            l2 = check_prefix(cfg, prefix, table, per)
             if not l2:
-                assert not want, prefix
                 continue
-            got = list(search._degree_splits(cfg, prefix, table, l2, gaps, per))
-            assert got == want, prefix
+            u = sum(prefix) - gap
+            if math.gcd(l2, u) != 1:
+                left_by_gcd += 1
+                continue
+            # the step: the lcm of the (n-1)-subset gcds of the tuple
+            empty_masks += not any(
+                is_well_formed(ws) and u + x >= 2 * codim and (u + x) % math.lcm(
+                    *{math.gcd(*sub) for sub in combinations(ws, len(ws) - 2)}) == 0
+                for x in range(prefix[-1], max_weight + 1) for ws in [prefix + (x,)])
+    assert bool(left_by_gcd) == bool(gap) and empty_masks, (left_by_gcd, empty_masks)
 
 
 def test_progression_rows_hold_one_residue_class():
@@ -305,6 +362,27 @@ def test_progression_rows_hold_one_residue_class():
         for r, bits in enumerate(row):
             assert bits == sum(1 << d for d in range(bound + 1) if d % m == r), (m, r)
     assert sorted(per) == [1, 2, 3, 7, 12, 13, 25, 30, 59, 60, 61, 97]
+
+
+def test_gcd_rows_hold_the_weights_whose_gcd_divides():
+    # row (g, gcd(g, u)) holds the x with gcd(g, x) | u, which the last
+    # weights of a single-sum prefix need; (g, 1) holds the x coprime to g
+    bound = 5 * 12
+    per = search._Progressions(bound)
+    rows = per.divides
+    assert not rows         # rows are built on first use only
+    keys = set()
+    for g in (1, 2, 3, 4, 6, 9, 12, 30, 61):
+        for u in (-7, -1, 0, 1, 2, 5, 6, 12, 35, 60):
+            key = g, math.gcd(g, u)
+            keys.add(key)
+            assert rows[key] == sum(1 << x for x in range(1, bound + 1)
+                                    if u % math.gcd(g, x) == 0), (g, u)
+        assert rows[g, 1] == sum(1 << x for x in range(1, bound + 1)
+                                 if math.gcd(g, x) == 1), g
+        keys.add((g, 1))
+    assert set(rows) == keys
+    assert not per          # the rows are not progression moduli
 
 
 @pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
