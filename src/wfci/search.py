@@ -305,7 +305,8 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     last_residues = residues - {prefix[-1]}
     hypersurface = config.codim == 1
     # the step bounds the sums of a window and the first degrees of splits;
-    # one hypersurface sum needs none, since the mask made the step divide it
+    # the mask made it divide a single sum, which is then the only sum, and
+    # a hypersurface, having no splits, needs no step for it
     steps = t1 and not (single and hypersurface)
     while xs:
         bit = xs & -xs
