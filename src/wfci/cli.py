@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, search, tables
 from .cylinder import NormalFormError, normal_form, verdict, wps_verdict
-from .poly import GradedPolynomial
+from .poly import GradedPolynomial, generic_member
 from .wci import WciDescriptor, adjunction
 from .wps import canonical_degree, normalize, singular_strata
 
@@ -291,7 +291,6 @@ def cmd_normal_form(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.weights is not None:
-        from .poly import generic_member
         if _oversized(args.weights):
             return EXIT_USAGE
         i, j = args.pair
@@ -327,6 +326,7 @@ def cmd_normal_form(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    del poly  # as large as the report, so free it before rendering
     text = json.dumps(result.to_json(), cls=_ReportEncoder)
     if args.out:
         try:

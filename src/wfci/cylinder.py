@@ -21,7 +21,6 @@ Every certificate carries the data needed to re-check it arithmetically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -29,6 +28,7 @@ from typing import Optional, Sequence
 from . import tables, wps
 from .poly import (ONE, Coeff, GradedPolynomial, _from_integral, _integral,
                    _mul_into, _reduced, _substitute_integral, substitute)
+from .record import Record, setfield
 from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
 from .wps import (ChartDescription, WeightVector, WpsCylinder, is_well_formed,
@@ -83,10 +83,10 @@ def _recheck_projection(desc: WciDescriptor, pivots: tuple[int, ...],
                for l in range(c) for j in range(c))
 
 
-@dataclass(frozen=True)
-class SumOfTwoWeights:
-    i: int
-    j: int
+class SumOfTwoWeights(Record):
+    def __init__(self, i: int, j: int):
+        setfield(self, "i", i)
+        setfield(self, "j", j)
 
     def recheck(self, desc: WciDescriptor) -> bool:
         return _recheck_projection(desc, (self.i,), ((self.j,),))
@@ -95,12 +95,14 @@ class SumOfTwoWeights:
         return {"kind": "SumOfTwoWeights", "i": self.i, "j": self.j}
 
 
-@dataclass(frozen=True)
-class Codim2Projection:
-    pivot_a: int
-    pivot_b: int
-    partners_a: tuple[int, int]   # partner of pivot_a for d_1, d_2
-    partners_b: tuple[int, int]
+class Codim2Projection(Record):
+    def __init__(self, pivot_a: int, pivot_b: int,
+                 partners_a: tuple[int, int],   # partner of pivot_a for d_1, d_2
+                 partners_b: tuple[int, int]):
+        setfield(self, "pivot_a", pivot_a)
+        setfield(self, "pivot_b", pivot_b)
+        setfield(self, "partners_a", partners_a)
+        setfield(self, "partners_b", partners_b)
 
     def indices(self) -> tuple[int, ...]:
         return (self.pivot_a, self.pivot_b) + self.partners_a + self.partners_b
@@ -114,10 +116,11 @@ class Codim2Projection:
                 "partners": [list(self.partners_a), list(self.partners_b)]}
 
 
-@dataclass(frozen=True)
-class CodimCGeneralized:
-    pivots: tuple[int, ...]                 # c pivot indices
-    partners: tuple[tuple[int, ...], ...]   # partners[l][j]: pivot l, degree j
+class CodimCGeneralized(Record):
+    def __init__(self, pivots: tuple[int, ...],              # c pivot indices
+                 partners: tuple[tuple[int, ...], ...]):  # partners[l][j]: pivot l, degree j
+        setfield(self, "pivots", pivots)
+        setfield(self, "partners", partners)
 
     def recheck(self, desc: WciDescriptor) -> bool:
         return _recheck_projection(desc, self.pivots, self.partners)
@@ -127,34 +130,38 @@ class CodimCGeneralized:
                 "partners": [list(r) for r in self.partners]}
 
 
-@dataclass(frozen=True)
-class AlphaAtLeastOne:
-    citation: str
+class AlphaAtLeastOne(Record):
+    def __init__(self, citation: str):
+        setfield(self, "citation", citation)
 
     def to_json(self) -> dict:
         return {"kind": "AlphaAtLeastOne", "citation": self.citation}
 
 
-@dataclass(frozen=True)
-class TableNonCyl:
-    table_id: str
-    row_id: int
-    n: Optional[int]
-    alpha: Optional[AlphaAtLeastOne] = None
+class TableNonCyl(Record):
+    def __init__(self, table_id: str, row_id: int, n: Optional[int],
+                 alpha: Optional[AlphaAtLeastOne] = None):
+        setfield(self, "table_id", table_id)
+        setfield(self, "row_id", row_id)
+        setfield(self, "n", n)
+        setfield(self, "alpha", alpha)
 
     def to_json(self) -> dict:
         return {"kind": "TableNonCyl", "table": self.table_id, "row": self.row_id,
                 "n": self.n, "alpha": self.alpha.to_json() if self.alpha else None}
 
 
-@dataclass(frozen=True)
-class WpsChart:
+class WpsChart(Record):
     """Cylinder chart of a weighted projective space itself."""
-    weights: tuple[int, ...]
-    chart_subset: tuple[int, ...]
-    torus_rank: int
-    affine_rank: int
-    polar: tuple[tuple[int, Fraction], ...]
+
+    def __init__(self, weights: tuple[int, ...], chart_subset: tuple[int, ...],
+                 torus_rank: int, affine_rank: int,
+                 polar: tuple[tuple[int, Fraction], ...]):
+        setfield(self, "weights", weights)
+        setfield(self, "chart_subset", chart_subset)
+        setfield(self, "torus_rank", torus_rank)
+        setfield(self, "affine_rank", affine_rank)
+        setfield(self, "polar", polar)
 
     @classmethod
     def from_cylinder(cls, cyl: WpsCylinder) -> "WpsChart":
@@ -169,13 +176,15 @@ class WpsChart:
                 "polar": [[i, str(c)] for i, c in self.polar]}
 
 
-@dataclass(frozen=True)
-class LinearCone:
-    degree_index: int
-    weight_index: int
-    target_weights: tuple[int, ...]
-    target_degrees: tuple[int, ...]
-    inner: Optional[object] = None   # certificate of the reduction target
+class LinearCone(Record):
+    def __init__(self, degree_index: int, weight_index: int,
+                 target_weights: tuple[int, ...], target_degrees: tuple[int, ...],
+                 inner: Optional[object] = None):  # certificate of the reduction target
+        setfield(self, "degree_index", degree_index)
+        setfield(self, "weight_index", weight_index)
+        setfield(self, "target_weights", target_weights)
+        setfield(self, "target_degrees", target_degrees)
+        setfield(self, "inner", inner)
 
     def to_json(self) -> dict:
         return {"kind": "LinearCone", "degree_index": self.degree_index,
@@ -185,18 +194,21 @@ class LinearCone:
                 "inner": self.inner.to_json() if self.inner is not None else None}
 
 
-@dataclass(frozen=True)
-class CylinderVerdict:
-    status: str
-    certificate: Optional[object]
-    citations: tuple[str, ...] = ()
-    conjectural_prediction: Optional[bool] = None
-    notes: tuple[str, ...] = ()
-    flags: dict = field(default_factory=dict)
-    # tables.match of the descriptor judged, for callers that report it;
-    # not part of the verdict's JSON
-    table_hit: Optional[tuple[str, int, Optional[int]]] = field(default=None,
-                                                                compare=False)
+class CylinderVerdict(Record, uncompared=("table_hit",)):
+    def __init__(self, status: str, certificate: Optional[object],
+                 citations: tuple[str, ...] = (),
+                 conjectural_prediction: Optional[bool] = None,
+                 notes: tuple[str, ...] = (), flags: Optional[dict] = None,
+                 table_hit: Optional[tuple[str, int, Optional[int]]] = None):
+        setfield(self, "status", status)
+        setfield(self, "certificate", certificate)
+        setfield(self, "citations", citations)
+        setfield(self, "conjectural_prediction", conjectural_prediction)
+        setfield(self, "notes", notes)
+        setfield(self, "flags", {} if flags is None else flags)
+        # tables.match of the descriptor judged, for callers that report it;
+        # not part of the verdict's JSON nor of its equality
+        setfield(self, "table_hit", table_hit)
 
     def to_json(self) -> dict:
         return {
@@ -258,14 +270,17 @@ def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]
 # normal form x_i x_j + G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChangeOp:
+class ChangeOp(Record):
     """One replayable step: a graded substitution or a global rescale."""
 
-    kind: str                                   # "substitute" | "scale"
-    var: Optional[int] = None
-    replacement: Optional[GradedPolynomial] = None
-    factor: Optional[Coeff] = None
+    def __init__(self, kind: str,  # "substitute" | "scale"
+                 var: Optional[int] = None,
+                 replacement: Optional[GradedPolynomial] = None,
+                 factor: Optional[Coeff] = None):
+        setfield(self, "kind", kind)
+        setfield(self, "var", var)
+        setfield(self, "replacement", replacement)
+        setfield(self, "factor", factor)
 
     def apply(self, p: GradedPolynomial) -> GradedPolynomial:
         if self.kind == "substitute":
@@ -281,14 +296,19 @@ class ChangeOp:
         return {"op": "scale", "factor": self.factor.to_json()}
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
-    pair: tuple[int, int]                 # final pivot pair (after re-indexing)
-    requested_pair: tuple[int, int]
-    change_sequence: tuple[ChangeOp, ...]
-    result: GradedPolynomial              # x_i x_j + G, cross coefficient 1
-    remainder: GradedPolynomial           # G, free of both pivot variables
-    extension_used: Optional[int] = None  # radicand when a square root was adjoined
+class NormalFormResult(Record):
+    def __init__(self, pair: tuple[int, int],  # final pivot pair (after re-indexing)
+                 requested_pair: tuple[int, int],
+                 change_sequence: tuple[ChangeOp, ...],
+                 result: GradedPolynomial,     # x_i x_j + G, cross coefficient 1
+                 remainder: GradedPolynomial,  # G, free of both pivot variables
+                 extension_used: Optional[int] = None):  # radicand when a square root was adjoined
+        setfield(self, "pair", pair)
+        setfield(self, "requested_pair", requested_pair)
+        setfield(self, "change_sequence", change_sequence)
+        setfield(self, "result", result)
+        setfield(self, "remainder", remainder)
+        setfield(self, "extension_used", extension_used)
 
     def to_json(self) -> dict:
         return {"pair": list(self.pair),
@@ -480,24 +500,30 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
 # the cylinder chart attached to a normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypersurfaceCylinder:
+class HypersurfaceCylinder(Record):
     """Cylinder of a degree a_i + a_j hypersurface, assembled from the normal
     form: X meets the chart {x_kept != 0} in a principal chart of the smaller
     space obtained by dropping x_dropped, where the usual torus chart supplies
     the cylinder.  The polar divisor lives on the original hyperplane classes
     and sums to the anti-canonical degree."""
 
-    pair: tuple[int, int]
-    kept_index: int
-    dropped_index: int
-    projected_weights: tuple[int, ...]       # original order, dropped removed
-    reduced_weights: tuple[int, ...]         # after well-forming, same positions
-    chart: ChartDescription                  # on the reduced weights
-    complement: tuple[int, ...]              # original indices of the support
-    polar: tuple[tuple[int, Fraction], ...]  # (original index, multiplicity)
-    torus_rank: int
-    affine_rank: int
+    def __init__(self, pair: tuple[int, int], kept_index: int, dropped_index: int,
+                 projected_weights: tuple[int, ...],       # original order, dropped removed
+                 reduced_weights: tuple[int, ...],         # after well-forming, same positions
+                 chart: ChartDescription,                  # on the reduced weights
+                 complement: tuple[int, ...],              # original indices of the support
+                 polar: tuple[tuple[int, Fraction], ...],  # (original index, multiplicity)
+                 torus_rank: int, affine_rank: int):
+        setfield(self, "pair", pair)
+        setfield(self, "kept_index", kept_index)
+        setfield(self, "dropped_index", dropped_index)
+        setfield(self, "projected_weights", projected_weights)
+        setfield(self, "reduced_weights", reduced_weights)
+        setfield(self, "chart", chart)
+        setfield(self, "complement", complement)
+        setfield(self, "polar", polar)
+        setfield(self, "torus_rank", torus_rank)
+        setfield(self, "affine_rank", affine_rank)
 
     def to_json(self) -> dict:
         return {"kind": "SumOfTwoWeightsChart", "pair": list(self.pair),

@@ -24,7 +24,6 @@ first monomial of that walk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
@@ -32,6 +31,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .intarith import factorize
+from .record import Record, setfield
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -46,21 +46,18 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return u, m if n > 0 else -m
 
 
-@dataclass(frozen=True)
-class Coeff:
+class Coeff(Record):
     """Element base + rad*sqrt(m) of Q(sqrt(m)), m square-free."""
 
-    base: Fraction
-    rad: Fraction = Fraction(0)
-    m: int = 1
-
-    def __post_init__(self):
-        if self.m == 1 and self.rad != 0:
+    def __init__(self, base: Fraction, rad: Fraction = Fraction(0), m: int = 1):
+        if m == 1 and rad != 0:
             # sqrt(1) collapses into the rational part
-            object.__setattr__(self, "base", self.base + self.rad)
-            object.__setattr__(self, "rad", Fraction(0))
-        if self.rad == 0 and self.m != 1:
-            object.__setattr__(self, "m", 1)
+            base, rad = base + rad, Fraction(0)
+        if rad == 0 and m != 1:
+            m = 1
+        setfield(self, "base", base)
+        setfield(self, "rad", rad)
+        setfield(self, "m", m)
 
     @classmethod
     def of(cls, value) -> "Coeff":

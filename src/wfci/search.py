@@ -36,45 +36,46 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import cylinder
+from .record import Record, setfield
 from .wci import (WciDescriptor, adjunction, qs_ci2_fast, qs_hypersurface_fast,
                   FANO, CALABI_YAU)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    dim: int
-    codim: int
-    max_weight: int
-    index_filter: Optional[int] = None
-    amplitude_filter: Optional[str] = None
-    exclude_linear_cones: bool = True
-
-    def __post_init__(self):
-        if self.dim < 1:
+class SearchConfig(Record):
+    def __init__(self, dim: int, codim: int, max_weight: int,
+                 index_filter: Optional[int] = None,
+                 amplitude_filter: Optional[str] = None,
+                 exclude_linear_cones: bool = True):
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.codim not in (1, 2):
+        if codim not in (1, 2):
             raise ValueError("codim must be 1 or 2: no quasi-smoothness "
                              "criterion is available beyond codimension 2")
-        if self.max_weight < 1:
+        if max_weight < 1:
             raise ValueError("max_weight must be >= 1")
-        if self.index_filter is not None and self.index_filter < 1:
+        if index_filter is not None and index_filter < 1:
             raise ValueError("index must be >= 1: a Fano index is positive")
+        setfield(self, "dim", dim)
+        setfield(self, "codim", codim)
+        setfield(self, "max_weight", max_weight)
+        setfield(self, "index_filter", index_filter)
+        setfield(self, "amplitude_filter", amplitude_filter)
+        setfield(self, "exclude_linear_cones", exclude_linear_cones)
 
     @property
     def tuple_length(self) -> int:
         return self.dim + self.codim + 1
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    descriptor: WciDescriptor
-    verdict: cylinder.CylinderVerdict
+class CandidateRecord(Record):
+    def __init__(self, descriptor: WciDescriptor, verdict: cylinder.CylinderVerdict):
+        setfield(self, "descriptor", descriptor)
+        setfield(self, "verdict", verdict)
 
     @property
     def table_hit(self) -> Optional[tuple[str, int, Optional[int]]]:

@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
+from .record import Record, setfield
 from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
 from .wps import is_well_formed
@@ -34,15 +34,17 @@ class DataIntegrityError(RuntimeError):
     """Embedded table data does not match the pinned checksum."""
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    table_id: str
-    row_id: int
-    weight_slopes: tuple[int, ...]
-    weight_intercepts: tuple[int, ...]
-    degree_slopes: tuple[int, ...]
-    degree_intercepts: tuple[int, ...]
-    k_metadata: str
+class FamilyRow(Record):
+    def __init__(self, table_id: str, row_id: int, weight_slopes: tuple[int, ...],
+                 weight_intercepts: tuple[int, ...], degree_slopes: tuple[int, ...],
+                 degree_intercepts: tuple[int, ...], k_metadata: str):
+        setfield(self, "table_id", table_id)
+        setfield(self, "row_id", row_id)
+        setfield(self, "weight_slopes", weight_slopes)
+        setfield(self, "weight_intercepts", weight_intercepts)
+        setfield(self, "degree_slopes", degree_slopes)
+        setfield(self, "degree_intercepts", degree_intercepts)
+        setfield(self, "k_metadata", k_metadata)
 
     @property
     def sporadic(self) -> bool:
@@ -151,18 +153,18 @@ def match(desc: WciDescriptor) -> Optional[tuple[str, int, Optional[int]]]:
     return None
 
 
-@dataclass
-class Violation:
-    table_id: str
-    row_id: int
-    n: Optional[int]
-    reason: str
+class Violation(Record, frozen=False):
+    def __init__(self, table_id: str, row_id: int, n: Optional[int], reason: str):
+        self.table_id = table_id
+        self.row_id = row_id
+        self.n = n
+        self.reason = reason
 
 
-@dataclass
-class VerifyReport:
-    checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+class VerifyReport(Record, frozen=False):
+    def __init__(self, checked: int = 0, violations: Optional[list[Violation]] = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

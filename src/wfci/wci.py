@@ -15,31 +15,28 @@ passes by and the monomials that show it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
 from .poly import representable, semigroup_mask
+from .record import Record, setfield
 from .wps import WeightVector, is_well_formed
 
 
-@dataclass(frozen=True)
-class WciDescriptor:
+class WciDescriptor(Record):
     """Weights plus sorted multidegree (d_1,...,d_c) of codimension c."""
 
-    ambient: WeightVector
-    multidegree: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", WeightVector.of(self.ambient))
-        degs = tuple(sorted(int(d) for d in self.multidegree))
+    def __init__(self, ambient: WeightVector, multidegree: tuple[int, ...]):
+        ambient = WeightVector.of(ambient)
+        degs = tuple(sorted(int(d) for d in multidegree))
         if not degs or any(d < 1 for d in degs):
             raise ValueError("degrees must be positive")
-        object.__setattr__(self, "multidegree", degs)
-        if not 1 <= self.codim <= self.ambient.n - 1:
-            raise ValueError(f"codimension {self.codim} out of range for {self.ambient}")
+        if not 1 <= len(degs) <= ambient.n - 1:
+            raise ValueError(f"codimension {len(degs)} out of range for {ambient}")
+        setfield(self, "ambient", ambient)
+        setfield(self, "multidegree", degs)
 
     @classmethod
     def of(cls, weights, degrees) -> "WciDescriptor":
@@ -93,21 +90,25 @@ def linear_cone_flags(desc: WciDescriptor) -> list[tuple[int, int]]:
             if d == a]
 
 
-@dataclass(frozen=True)
-class SubsetWitness:
+class SubsetWitness(Record):
     """Evidence that one index subset passes a quasi-smoothness condition."""
 
-    subset: tuple[int, ...]
-    condition: str                       # which clause of the criterion fired
-    monomials: tuple[tuple, ...] = ()    # witness exponent vectors
-    partners: tuple[tuple[int, tuple], ...] = ()  # (outside index, witness)
+    def __init__(self, subset: tuple[int, ...],
+                 condition: str,                     # which clause of the criterion fired
+                 monomials: tuple[tuple, ...] = (),  # witness exponent vectors
+                 partners: tuple[tuple[int, tuple], ...] = ()):  # (outside index, witness)
+        setfield(self, "subset", subset)
+        setfield(self, "condition", condition)
+        setfield(self, "monomials", monomials)
+        setfield(self, "partners", partners)
 
 
-@dataclass(frozen=True)
-class QsVerdict:
-    holds: bool
-    witnesses: tuple[SubsetWitness, ...]
-    failing_subset: Optional[tuple[int, ...]] = None
+class QsVerdict(Record):
+    def __init__(self, holds: bool, witnesses: tuple[SubsetWitness, ...],
+                 failing_subset: Optional[tuple[int, ...]] = None):
+        setfield(self, "holds", holds)
+        setfield(self, "witnesses", witnesses)
+        setfield(self, "failing_subset", failing_subset)
 
 
 def general_qs(desc: WciDescriptor, witnesses: bool = True) -> Optional[QsVerdict]:
@@ -140,13 +141,14 @@ CALABI_YAU = "CalabiYau"
 GENERAL_TYPE = "GeneralType"
 
 
-@dataclass(frozen=True)
-class AdjunctionData:
+class AdjunctionData(Record):
     """Canonical class data: K = O(sum d_j - sum a_i) restricted to the member."""
 
-    canonical_coefficient: int
-    amplitude: str
-    fano_index: Optional[int]
+    def __init__(self, canonical_coefficient: int, amplitude: str,
+                 fano_index: Optional[int]):
+        setfield(self, "canonical_coefficient", canonical_coefficient)
+        setfield(self, "amplitude", amplitude)
+        setfield(self, "fano_index", fano_index)
 
 
 def adjunction(desc: WciDescriptor) -> AdjunctionData:

@@ -10,28 +10,25 @@ complete intersections", sect. 5 for the reductions and the singular locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .intarith import (bezout, factorize, gcd_many, lcm_many, mat_det,
                        mat_inverse_unimodular, unimodular_complete)
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Positive weights, kept sorted ascending for canonical identity."""
 
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        ws = tuple(sorted(int(a) for a in self.weights))
+    def __init__(self, weights: tuple[int, ...]):
+        ws = tuple(sorted(int(a) for a in weights))
         if len(ws) < 2:
             raise ValueError("need at least two weights")
         if any(a < 1 for a in ws):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "weights", ws)
+        setfield(self, "weights", ws)
 
     @classmethod
     def of(cls, weights) -> "WeightVector":
@@ -60,20 +57,24 @@ class WeightVector:
         return "P(" + ",".join(map(str, self.weights)) + ")"
 
 
-@dataclass(frozen=True)
-class NormalizationTrace:
+class NormalizationTrace(Record):
     """Record of the two reduction steps taking weights to a well-formed form.
 
     After removing the common factor, b_i = a_i / e_i where
     d_i = gcd of the weights omitting a_i and e_i = lcm of the d's omitting d_i.
     """
 
-    input: WeightVector
-    common_factor_removed: int
-    divisors: tuple[int, ...]      # d_i
-    multipliers: tuple[int, ...]   # e_i
-    reduced: tuple[int, ...]       # b_i = a_i / e_i, in input (sorted) order
-    output: WeightVector
+    def __init__(self, input: WeightVector, common_factor_removed: int,
+                 divisors: tuple[int, ...],      # d_i
+                 multipliers: tuple[int, ...],   # e_i
+                 reduced: tuple[int, ...],       # b_i = a_i / e_i, in input (sorted) order
+                 output: WeightVector):
+        setfield(self, "input", input)
+        setfield(self, "common_factor_removed", common_factor_removed)
+        setfield(self, "divisors", divisors)
+        setfield(self, "multipliers", multipliers)
+        setfield(self, "reduced", reduced)
+        setfield(self, "output", output)
 
 
 def is_well_formed(w) -> bool:
@@ -108,12 +109,12 @@ def canonical_degree(w) -> int:
     return -w.total()
 
 
-@dataclass(frozen=True)
-class SingularStratum:
+class SingularStratum(Record):
     """Maximal index subset whose weights share a common factor > 1."""
 
-    indices: frozenset[int]
-    stratum_gcd: int
+    def __init__(self, indices: frozenset[int], stratum_gcd: int):
+        setfield(self, "indices", indices)
+        setfield(self, "stratum_gcd", stratum_gcd)
 
 
 def singular_strata(w) -> list[SingularStratum]:
@@ -138,8 +139,7 @@ def singular_strata(w) -> list[SingularStratum]:
     return strata
 
 
-@dataclass(frozen=True)
-class ChartDescription:
+class ChartDescription(Record):
     """Affine chart D_+(prod_{i in I} x_i) ~ (A^1 \\ 0)^m x A^{n-m}.
 
     Weights are kept in the caller's coordinate order (chart indices refer to
@@ -148,11 +148,14 @@ class ChartDescription:
     change that sends the monomial prod Y_i^{b_i} to Y_0.
     """
 
-    weights: tuple[int, ...]
-    chart_subset: tuple[int, ...]
-    exponent_matrix: tuple[tuple[int, ...], ...]
-    torus_rank: int
-    affine_rank: int
+    def __init__(self, weights: tuple[int, ...], chart_subset: tuple[int, ...],
+                 exponent_matrix: tuple[tuple[int, ...], ...], torus_rank: int,
+                 affine_rank: int):
+        setfield(self, "weights", weights)
+        setfield(self, "chart_subset", chart_subset)
+        setfield(self, "exponent_matrix", exponent_matrix)
+        setfield(self, "torus_rank", torus_rank)
+        setfield(self, "affine_rank", affine_rank)
 
 
 def torus_chart(w, subset) -> ChartDescription:
@@ -194,24 +197,25 @@ def monomial_apply(exponents, matrix) -> tuple[int, ...]:
                  for j in range(size))
 
 
-@dataclass(frozen=True)
-class PolarDivisor:
+class PolarDivisor(Record):
     """Effective Q-divisor supported on coordinate hyperplanes.
 
     `multiplicities` maps a hyperplane index i to the coefficient of
     {x_i = 0}; the represented class is sum c_i * O(a_i)."""
 
-    multiplicities: tuple[tuple[int, Fraction], ...]
+    def __init__(self, multiplicities: tuple[tuple[int, Fraction], ...]):
+        setfield(self, "multiplicities", multiplicities)
 
     def degree(self, weights) -> Fraction:
         return sum((c * weights[i] for i, c in self.multiplicities), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WpsCylinder:
-    trace: NormalizationTrace
-    chart: ChartDescription
-    polar: PolarDivisor
+class WpsCylinder(Record):
+    def __init__(self, trace: NormalizationTrace, chart: ChartDescription,
+                 polar: PolarDivisor):
+        setfield(self, "trace", trace)
+        setfield(self, "chart", chart)
+        setfield(self, "polar", polar)
 
 
 def _first_coprime_subset(ws: tuple[int, ...], required: int | None = None) -> tuple[int, ...]:

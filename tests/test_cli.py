@@ -333,7 +333,7 @@ def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
     # the real cap (200,000 terms) takes seconds to reach; a cap of 10 refuses
     # the 15 quadrics in five variables the same way
     real = poly.generic_member
-    monkeypatch.setattr(poly, "generic_member",
+    monkeypatch.setattr(cli, "generic_member",
                         lambda ws, d, seed: real(ws, d, seed, cap=10))
     code, out, err = run(capsys, "normal-form", "--weights", "1,1,1,1,1", "--pair", "0,1")
     assert (code, out) == (2, "")
@@ -407,6 +407,17 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "wfci", "--version"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, f"wfci {cli.__version__}\n")
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # each costs every process milliseconds at start (see wfci.record)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wfci.cli; from wfci import tables; tables.load_rows(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_normal_form_generated_member(capsys):

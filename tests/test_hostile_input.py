@@ -60,7 +60,7 @@ CASES = [
      20, 2048),                                                # 2.6 s, 203 MB
     # the generic member's cap of 200,000 monomials (142,507 inside)
     (["normal-form", "--weights", "2,2,2,2,2,2,51,50", "--pair", "6,7"],
-     0, None, 60, 2048),                                       # 7.0 s, 270 MB
+     0, None, 60, 2048),                                       # 3.2 s, 261 MB
     (["normal-form", "--weights", "1,1,1,1,50,50", "--pair", "4,5"],
      2, "error: monomial count exceeds cap 200000", 10, 1024),  # 0.7 s, 41 MB
     # more than 10 weights: twelve once took 12 s at 321 MB, three hundred
