@@ -26,8 +26,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import tables, wps
-from .poly import (ONE, Coeff, GradedPolynomial, _from_integral, _integral,
-                   _mul_into, _reduced, _substitute_integral, substitute)
+from .poly import ONE, Coeff, GradedPolynomial, substitute
 from .record import Record, setfield
 from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
@@ -372,12 +371,11 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     Fails only when no enabling term exists, which the quasi-smoothness of the
     member rules out.
 
-    The changes run on one integral table (`poly._integral`) from F to the
-    result, each left over the least denominator, so every intermediate table
-    is the one replaying the changes would convert; `Coeff`s are made only for
-    the pivot coefficients read, the recorded changes, the result and the
-    remainder.  The pivot pair is chosen on that table too, and its cross,
-    square and discriminant coefficients are read once.
+    Each change is made by applying its recorded `ChangeOp`, so the
+    polynomial after each change is the one a replay gives, in the table form
+    of `poly`.  `Coeff`s are made only for the pivot coefficients read, from
+    which the pivot substitutions, the rescale and the discriminant's root are
+    computed.
     """
     i, j = pair
     n = F.nvars
@@ -387,10 +385,9 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
         raise ValueError("pair weights do not sum to the degree")
 
     w, d = F.weights, F.degree
-    # coefficient (a + b*sqrt(m))/D for each {exps: (a, b, m)} of the table
-    D, table = _integral(F)
+    P = F   # the polynomial after the changes made so far
     # the input's field is Q(sqrt(m)) for the one m of its irrational terms
-    radicands = sorted({m for _, b, m in table.values() if b})
+    radicands = F.radicands()
     if len(radicands) > 1:
         raise NormalFormError(f"incompatible radicands {radicands[0]} and "
                               f"{radicands[1]} in the input coefficients")
@@ -398,36 +395,30 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     ops: list[ChangeOp] = []
     adjoined = None
 
-    def coefficient(exps: tuple) -> Coeff:
-        a, b, m = table.get(exps, (0, 0, 1))
-        return Coeff(Fraction(a, D), Fraction(b, D), m)
+    def change(op: ChangeOp):
+        nonlocal P
+        ops.append(op)
+        P = op.apply(P)
 
-    def sub_op(var: int, replacement: GradedPolynomial, dr: int, tr: dict):
-        nonlocal D, table
-        ops.append(ChangeOp("substitute", var=var, replacement=replacement))
-        D, table = _reduced(*_substitute_integral(var, D, table, dr, tr))
+    def sub_op(var: int, rest: GradedPolynomial):
+        # x_var <- x_var - rest, unless rest is zero
+        if not rest.is_zero():
+            change(ChangeOp("substitute", var, GradedPolynomial(
+                w, w[var], {_unit_exp(n, var): ONE}) - rest))
 
     def pivot_op(var: int, other: int, c: Coeff):
-        # x_var <- x_var - c * x_other
-        repl = GradedPolynomial(w, w[var], {_unit_exp(n, var): ONE, _unit_exp(n, other): -c})
-        sub_op(var, repl, *_integral(repl))
-
-    def absorb_op(var: int, terms: dict):
-        # x_var <- x_var - sum(terms), the terms read off the table over D
-        dr, tr = _reduced(D, {_unit_exp(n, var): (D, 0, 1),
-                              **{e: (-a, -b, m) for e, (a, b, m) in terms.items()}})
-        sub_op(var, _from_integral(w, w[var], dr, tr), dr, tr)
+        sub_op(var, GradedPolynomial(w, w[var], {_unit_exp(n, other): c}))
 
     # the first enabling pair with a cross term, or, at equal weights, a
     # binary quadratic part of nonzero discriminant
     for u, v in _enabling_pairs(F, i, j):
-        cross = coefficient(_unit_exp(n, u, v))
+        cross = P.coefficient(_unit_exp(n, u, v))
         if w[u] != w[v]:
             if cross.is_zero:
                 continue
             break
-        lam = coefficient(_unit_exp(n, u, u))
-        mu = coefficient(_unit_exp(n, v, v))
+        lam = P.coefficient(_unit_exp(n, u, u))
+        mu = P.coefficient(_unit_exp(n, v, v))
         if cross.is_zero and (lam.is_zero or mu.is_zero):
             continue
         disc = cross * cross - lam * mu * 4
@@ -450,49 +441,27 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
                 if not root.is_rational:
                     adjoined = root.m
                 pivot_op(u, v, (cross + root) / (lam * 2))
-                pivot_op(v, u, lam / coefficient(_unit_exp(n, u, v)))
+                pivot_op(v, u, lam / P.coefficient(_unit_exp(n, u, v)))
     else:
         if w[u] > w[v]:
             u, v = v, u   # keep the larger weight on x_v: it then occurs linearly
 
     cross_exp = _unit_exp(n, u, v)
-    cross = coefficient(cross_exp)
+    cross = P.coefficient(cross_exp)
     assert not cross.is_zero
     if cross != ONE:
-        factor = cross.inverse()
-        ops.append(ChangeOp("scale", factor=factor))
-        fd, ft = _integral(GradedPolynomial(w, 0, {(0,) * n: factor}))
-        D, table = _reduced(D * fd, _mul_into({}, table, ft))
+        change(ChangeOp("scale", factor=cross.inverse()))
 
-    # absorb the x_v-linear coefficient into x_u
-    coeff_v = {}
-    for exps, t in table.items():
-        if exps[v] == 1:
-            stripped = tuple(0 if k == v else e for k, e in enumerate(exps))
-            if stripped != _unit_exp(n, u):
-                coeff_v[stripped] = t
-        elif exps[v] > 1:
-            raise AssertionError("pivot variable occurs nonlinearly")
-    if coeff_v:
-        absorb_op(u, coeff_v)
+    # absorb the x_v-linear coefficient into x_u, then every remaining
+    # x_u-divisible term into x_v
+    sub_op(u, P.quotient(v, lambda e: e[v] == 1 and e != cross_exp))
+    sub_op(v, P.quotient(u, lambda e: e[v] == 0))
 
-    # absorb every remaining x_u-divisible term into x_v
-    bulk = {}
-    for exps, t in table.items():
-        if exps[u] >= 1 and exps[v] == 0:
-            lowered = tuple(e - 1 if k == u else e for k, e in enumerate(exps))
-            bulk[lowered] = t
-    if bulk:
-        absorb_op(v, bulk)
-
-    result = _from_integral(w, d, D, table)
-    remainder_terms = {e: c for e, c in result.terms.items() if e != cross_exp}
-    if result.coefficient(cross_exp) != ONE or any(
-            e[u] or e[v] for e in remainder_terms):
+    remainder = P - GradedPolynomial(w, d, {cross_exp: ONE})
+    if remainder.involves(u) or remainder.involves(v):
         raise AssertionError("normal form postcondition failed")
-    remainder = GradedPolynomial(w, d, remainder_terms)
     final_pair = (min(u, v), max(u, v))
-    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), result,
+    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), P,
                             remainder, adjoined)
 
 

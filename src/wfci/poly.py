@@ -1,14 +1,14 @@
 """Sparse quasi-homogeneous polynomials with exact coefficients.
 
-Coefficients live in Q or in a single real/imaginary quadratic extension
-Q(sqrt(m)) with m a square-free integer; one square root is all the normal
-form construction ever needs.  A polynomial keeps `Coeff` values in a dict
-keyed by exponent tuples; products and substitutions run on its integral
-form, integer numerators over a common denominator (`_integral`), through
-`_mul_into`, the one product kernel, and `_substitute_integral`, the one
-substitution body.  `poly_mul` and `substitute` reduce to `Coeff` once per
-output term; the normal form of `cylinder` keeps the integral form through
-all of its changes, over the least denominator (`_reduced`) after each.
+Coefficients live in Q or in a quadratic extension Q(sqrt(m)) with m a
+square-free integer; one square root is all the normal form construction ever
+needs.  A `GradedPolynomial` stores one form, integer numerators over its least
+common denominator with a radicand per term, and every operation builds that
+table directly: `_mul_into` is the one product kernel, which `poly_mul`,
+`scale`, and the powers and terms of `substitute` go through.  Only this
+module reads the table.  `Coeff` values are made at the edges: `coefficient`,
+the read-only `terms` view, JSON, and a caller's own arithmetic on the
+coefficients it reads (the pivots of `cylinder.normal_form`).
 
 The representability helpers (`representable`, `eligible_partners`) answer
 "does a monomial of weighted degree d supported on an index set exist", which
@@ -24,25 +24,46 @@ first monomial of that walk.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, islice
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Optional
 
-from .intarith import factorize
 from .record import Record, setfield
+
+# Largest |n| whose square-free part is computed: the square root of a
+# rational refuses |numerator * denominator| above it, and so does a JSON
+# radicand.  Trial division to the cube root takes at most 0.8 ms below it
+# (a prime near 10^12; 2-vCPU x86-64, CPython 3.11), once per JSON term; by
+# division to the square root, a discriminant near 10^24 ran for over 20 s.
+RADICAND_CAP = 10**12
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = u**2 * m with m square-free (sign kept on m); returns (u, m)."""
+    """n = u**2 * m with m square-free (sign kept on m); returns (u, m).
+    |n| above RADICAND_CAP raises ValueError."""
+    if abs(n) > RADICAND_CAP:
+        raise ValueError(f"radicand of magnitude above {RADICAND_CAP} refused")
     if n == 0:
         return 0, 1
-    u, m = 1, 1
-    for p, e in factorize(abs(n)):
+    u, m, rest, p = 1, 1, abs(n), 2
+    # divide out the primes up to the cube root of what is left: the rest then
+    # has at most two prime factors, so it is a square or square-free
+    while p * p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
         u *= p ** (e // 2)
-        if e % 2:
-            m *= p
+        m *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    root = isqrt(rest)
+    if root * root == rest:
+        u *= root
+    else:
+        m *= rest
     return u, m if n > 0 else -m
 
 
@@ -67,7 +88,8 @@ class Coeff(Record):
 
     @classmethod
     def sqrt_of(cls, value) -> "Coeff":
-        """A square root of a nonzero rational, with square-free radicand."""
+        """A square root of a rational, with square-free radicand; ValueError
+        when |numerator * denominator| exceeds RADICAND_CAP."""
         r = Fraction(value)
         if r == 0:
             return cls(Fraction(0))
@@ -133,9 +155,11 @@ class Coeff(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Coeff":
-        return cls(Fraction(obj.get("coeff", "0")),
-                   Fraction(obj.get("radical", "0")),
-                   int(obj.get("radicand", 1)))
+        """ValueError for a radicand that is not square-free (0, 4, -4, 8, ...)."""
+        m = int(obj.get("radicand", 1))
+        if _squarefree_split(m) != (1, m):
+            raise ValueError(f"radicand {m} is not square-free")
+        return cls(Fraction(obj.get("coeff", "0")), Fraction(obj.get("radical", "0")), m)
 
 
 ONE = Coeff(Fraction(1))
@@ -149,90 +173,118 @@ def weighted_degree(exponents: Sequence[int], weights: Sequence[int]) -> int:
 
 
 class GradedPolynomial:
-    """Quasi-homogeneous polynomial over fixed weights, stored sparsely."""
+    """Quasi-homogeneous polynomial over fixed weights, stored sparsely as
+    integer numerators over one denominator: x^e has the coefficient
+    (a + b*sqrt(m))/D for table[e] = (a, b, m), with D > 0 the least common
+    denominator (gcd of D and every numerator is 1), no zero term, and m = 1
+    where b == 0.  Terms over two radicands may coexist until a product or a
+    sum meets both radicals, which raises ValueError."""
 
-    __slots__ = ("weights", "degree", "terms")
+    __slots__ = ("weights", "degree", "D", "table")
 
     def __init__(self, weights: Sequence[int], degree: int,
                  terms: Mapping[tuple, Coeff] | Iterable[tuple]):
+        """From (exps, coefficient) pairs or a mapping; a repeated exponent
+        adds up, and a nonzero term off the degree raises ValueError."""
         self.weights = tuple(int(a) for a in weights)
         self.degree = int(degree)
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        table: dict[tuple, Coeff] = {}
-        for exps, coeff in items:
-            coeff = Coeff.of(coeff)
-            if coeff.is_zero:
-                continue
-            exps = tuple(map(int, exps))
-            acc = table.get(exps)
-            if acc is None:
-                # a new exponent; a repeated one has passed this check
-                if weighted_degree(exps, self.weights) != self.degree:
-                    raise ValueError(f"term {exps} breaks quasi-homogeneity of degree {self.degree}")
-                table[exps] = coeff
-                continue
-            coeff = acc + coeff
-            if coeff.is_zero:
-                del table[exps]
-            else:
-                table[exps] = coeff
-        self.terms = table
+        rows = [(tuple(map(int, exps)), Coeff.of(coeff)) for exps, coeff in
+                (terms.items() if isinstance(terms, Mapping) else terms)]
+        for exps, coeff in rows:
+            if not coeff.is_zero and weighted_degree(exps, self.weights) != self.degree:
+                raise ValueError(f"term {exps} breaks quasi-homogeneity of degree {self.degree}")
+        D = lcm(*(f.denominator for _, c in rows for f in (c.base, c.rad)))
+        least = GradedPolynomial._over(self.weights, self.degree, D, _merge({}, (
+            (e, c.base.numerator * D // c.base.denominator,
+             c.rad.numerator * D // c.rad.denominator, c.m) for e, c in rows)))
+        self.D, self.table = least.D, least.table
+
+    @classmethod
+    def _over(cls, weights: tuple, degree: int, D: int, table: dict) -> "GradedPolynomial":
+        """The polynomial of `table` (no zero term) over D, divided through by
+        the gcd of D and every numerator."""
+        g = gcd(D, *(x for a, b, _ in table.values() for x in (a, b)))
+        if g != 1:
+            D //= g
+            table = {e: (a // g, b // g, m) for e, (a, b, m) in table.items()}
+        p = object.__new__(cls)
+        p.weights, p.degree, p.D, p.table = weights, degree, D, table
+        return p
 
     @property
     def nvars(self) -> int:
         return len(self.weights)
 
+    @property
+    def terms(self) -> Mapping[tuple, Coeff]:
+        """Read-only view exps -> Coeff; a `Coeff` is made per value read."""
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.table
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exps), Coeff(Fraction(0)))
 
+    def radicands(self) -> list[int]:
+        """The radicands of the irrational coefficients, ascending."""
+        return sorted({m for _, b, m in self.table.values() if b})
+
     def involves(self, i: int) -> bool:
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self.table)
+
+    def quotient(self, k: int, keep: Callable[[tuple], bool]) -> "GradedPolynomial":
+        """The sum of c * x^e / x_k over the terms c * x^e with e_k >= 1 for
+        which keep(e) holds, of degree `degree - weights[k]`."""
+        return GradedPolynomial._over(
+            self.weights, self.degree - self.weights[k], self.D,
+            {e[:k] + (e[k] - 1,) + e[k + 1:]: t
+             for e, t in self.table.items() if e[k] and keep(e)})
 
     def scale(self, factor) -> "GradedPolynomial":
-        factor = Coeff.of(factor)
-        return GradedPolynomial(
-            self.weights, self.degree,
-            {e: c * factor for e, c in self.terms.items()})
+        """factor * self, through the product kernel."""
+        return poly_mul(self, GradedPolynomial(self.weights, 0, {(0,) * self.nvars: factor}))
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        if self.weights != other.weights or self.degree != other.degree:
-            raise ValueError("cannot add polynomials of different grading")
-        return GradedPolynomial(self.weights, self.degree,
-                                chain(self.terms.items(), other.terms.items()))
+        return self - other.scale(-1)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self + other.scale(-1)
+        if self.weights != other.weights or self.degree != other.degree:
+            raise ValueError("cannot add polynomials of different grading")
+        D = lcm(self.D, other.D)
+        s, t = D // self.D, D // other.D
+        table = {e: (a * s, b * s, m) for e, (a, b, m) in self.table.items()}
+        _merge(table, ((e, -a * t, -b * t, m) for e, (a, b, m) in other.table.items()))
+        return GradedPolynomial._over(self.weights, self.degree, D, table)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedPolynomial)
                 and self.weights == other.weights
                 and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.D == other.D
+                and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.weights, self.degree, frozenset(self.terms.items())))
+        return hash((self.weights, self.degree, self.D, frozenset(self.table.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.table:
             return "0"
         parts = []
-        for exps in sorted(self.terms):
+        for exps in sorted(self.table):
             factors = [f"x{i}^{e}" if e > 1 else f"x{i}"
                        for i, e in enumerate(exps) if e]
             mono = "*".join(factors) if factors else "1"
-            c = self.terms[exps]
+            c = self.coefficient(exps)
             parts.append(mono if c == ONE else f"({c})*{mono}")
         return " + ".join(parts)
 
     def to_json(self) -> dict:
+        terms = self.terms
         return {
             "weights": list(self.weights),
             "degree": self.degree,
-            "terms": [dict(exps=list(e), **self.terms[e].to_json())
-                      for e in sorted(self.terms)],
+            "terms": [dict(exps=list(e), **terms[e].to_json()) for e in sorted(terms)],
         }
 
     @classmethod
@@ -241,56 +293,59 @@ class GradedPolynomial:
         return cls(obj["weights"], obj["degree"], terms)
 
 
-def _integral(p: GradedPolynomial) -> tuple[int, dict]:
-    """p as (D, {exps: (a, b, m)}), coefficients (a + b*sqrt(m))/D in integers."""
-    D = lcm(*(f.denominator for c in p.terms.values() for f in (c.base, c.rad)))
-    return D, {e: (c.base.numerator * D // c.base.denominator,
-                   c.rad.numerator * D // c.rad.denominator, c.m) for e, c in p.terms.items()}
+class _Terms(Mapping):
+    """The `terms` view: its keys and length read the table alone."""
+
+    def __init__(self, poly: GradedPolynomial):
+        self._poly = poly
+
+    def __getitem__(self, exps) -> Coeff:
+        a, b, m = self._poly.table[exps]
+        return Coeff(Fraction(a, self._poly.D), Fraction(b, self._poly.D), m)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._poly.table)
+
+    def __len__(self) -> int:
+        return len(self._poly.table)
 
 
-def _mul_into(table: dict, left: Mapping, right: Mapping) -> dict:
-    """The one product kernel: merge each product of a `left` and a `right` term
-    into `table`, in the form of `_integral` (m counts only where b != 0)."""
-    for e1, (a1, b1, m1) in left.items():
-        for e2, (a2, b2, m2) in right.items():
-            if b1 and b2 and m1 != m2:
-                raise ValueError(f"incompatible radicands {m1} and {m2}")
-            a, b, m = a1 * a2 + b1 * b2 * m1, a1 * b2 + b1 * a2, m1 if b1 else m2
-            e = tuple(map(add, e1, e2))
-            old = table.get(e)
-            if old is not None:
-                oa, ob, om = old
-                if ob and b and om != m:
-                    raise ValueError(f"incompatible radicands {om} and {m}")
-                a, b, m = a + oa, b + ob, om if ob else m
-            if a or b:
-                table[e] = (a, b, m)
-            elif old is not None:
-                del table[e]
+def _merge(table: dict, rows: Iterable[tuple]) -> dict:
+    """Add each term (exps, a, b, m) of `rows` into `table`, the table form of
+    `GradedPolynomial` over one denominator, keeping its invariants."""
+    for e, a, b, m in rows:
+        old = table.get(e)
+        if old is not None:
+            oa, ob, om = old
+            if ob and b and om != m:
+                raise ValueError(f"incompatible radicands {om} and {m}")
+            a, b, m = a + oa, b + ob, om if ob else m
+        if a or b:
+            table[e] = (a, b, m if b else 1)
+        elif old is not None:
+            del table[e]
     return table
 
 
-def _reduced(D: int, table: dict) -> tuple[int, dict]:
-    """(D, table) over the least denominator: both divided by the gcd of D and
-    every numerator, which is what `_integral(_from_integral(...))` gives, in
-    the same term order (up to m where b == 0, which no product reads)."""
-    g = gcd(D, *(x for a, b, _ in table.values() for x in (a, b)))
-    if g == 1:
-        return D, table
-    return D // g, {e: (a // g, b // g, m) for e, (a, b, m) in table.items()}
-
-
-def _from_integral(weights, degree, D: int, table: Mapping) -> GradedPolynomial:
-    return GradedPolynomial(weights, degree, (
-        (e, Coeff(Fraction(a, D), Fraction(b, D), m)) for e, (a, b, m) in table.items()))
+def _mul_into(table: dict, left: Mapping, right: Mapping) -> dict:
+    """The one product kernel: merge each product of a `left` and a `right`
+    term into `table`, all three tables of `GradedPolynomial` form."""
+    def products():
+        for e1, (a1, b1, m1) in left.items():
+            for e2, (a2, b2, m2) in right.items():
+                if b1 and b2 and m1 != m2:
+                    raise ValueError(f"incompatible radicands {m1} and {m2}")
+                yield (tuple(map(add, e1, e2)), a1 * a2 + b1 * b2 * m1,
+                       a1 * b2 + b1 * a2, m1 if b1 else m2)
+    return _merge(table, products())
 
 
 def poly_mul(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
     """Product of two graded polynomials (degrees add)."""
     if p.weights != q.weights:
         raise ValueError("weight mismatch")
-    (dp, tp), (dq, tq) = _integral(p), _integral(q)
-    return _from_integral(p.weights, p.degree + q.degree, dp * dq, _mul_into({}, tp, tq))
+    return GradedPolynomial._over(p.weights, p.degree + q.degree, p.D * q.D,
+                                  _mul_into({}, p.table, q.table))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +439,13 @@ def substitute(p: GradedPolynomial, i: int, replacement: GradedPolynomial) -> Gr
     if replacement.degree != p.weights[i]:
         raise ValueError("ungraded substitution: replacement degree "
                          f"{replacement.degree} != weight {p.weights[i]}")
-    if replacement.involves(i):
-        unit = tuple(int(k == i) for k in range(p.nvars))
-        rest = dict(replacement.terms)
-        head = rest.pop(unit, None)
-        if head != ONE or any(e[i] for e in rest):
-            raise ValueError("replacement must avoid the variable or be "
-                             "x_i plus terms without it")
+    unit = tuple(int(k == i) for k in range(p.nvars))
+    tp, dr, tr = p.table, replacement.D, replacement.table
+    if replacement.involves(i) and (replacement.coefficient(unit) != ONE
+                                    or any(e[i] for e in tr if e != unit)):
+        raise ValueError("replacement must avoid the variable or be "
+                         "x_i plus terms without it")
 
-    (dp, tp), (dr, tr) = _integral(p), _integral(replacement)
-    return _from_integral(p.weights, p.degree, *_substitute_integral(i, dp, tp, dr, tr))
-
-
-def _substitute_integral(i: int, dp: int, tp: Mapping, dr: int, tr: Mapping) -> tuple[int, dict]:
-    """The body of `substitute` on the integral forms (dp, tp) of p and
-    (dr, tr) of a replacement of the checked shape; returns the integral
-    form of the result, over dp * dr**top (top the largest exponent of x_i)."""
     top = max((e[i] for e in tp), default=0)
     # The k-th power of x_i + R with R != 0 has at least k + 1 terms, one per
     # power of x_i, and a nonzero replacement free of x_i at least one: so a
@@ -407,11 +453,10 @@ def _substitute_integral(i: int, dp: int, tp: Mapping, dr: int, tr: Mapping) -> 
     grow = int(len(tr) > 1 and any(e[i] for e in tr))
     least = len(tr) * (top + grow * top * (top - 1) // 2)
     _charge(least, sum(1 + grow * e[i] if tr or not e[i] else 0 for e in tp))
-    # powers[k] is replacement**k over dr**k; each term goes over dp * dr**top.
+    # powers[k] is replacement**k over dr**k; each term goes over D * dr**top.
     # The powers are built and every product is counted first, since a term's
-    # scale dr**(top - e_i) can be as long as dr**top; powers[0] is the
-    # constant 1, whose exponent length only matters when p has a term
-    powers = [{(0,) * len(next(iter(tp), ())): (1, 0, 1)}]
+    # scale dr**(top - e_i) can be as long as dr**top
+    powers = [{(0,) * p.nvars: (1, 0, 1)}]
     work = 0
     while len(powers) <= top:
         work = _charge(work, len(powers[-1]) * len(tr))
@@ -423,7 +468,7 @@ def _substitute_integral(i: int, dp: int, tp: Mapping, dr: int, tr: Mapping) -> 
         scale = dr ** (top - e_i)
         stripped = exps[:i] + (0,) + exps[i + 1:]
         _mul_into(table, {stripped: (a * scale, b * scale, m)}, powers[e_i])
-    return dp * dr ** top, table
+    return GradedPolynomial._over(p.weights, p.degree, p.D * dr ** top, table)
 
 
 def monomials_of_degree(weights: Sequence[int], d: int) -> Iterator[tuple]:
@@ -475,9 +520,9 @@ def generic_member(weights: Sequence[int], d: int, seed: int,
     if len(monomials) > cap:
         raise ValueError(f"monomial count exceeds cap {cap}")
     rng = random.Random((seed, tuple(weights), d).__repr__())
+    # each coefficient num/den has den in 1..4, so all lie over 12
     table = {}
     for exps in monomials:
         num = rng.randrange(1, 10) * (1 if rng.randrange(2) else -1)
-        den = rng.randrange(1, 5)
-        table[exps] = Coeff(Fraction(num, den))
-    return GradedPolynomial(weights, d, table)
+        table[exps] = (num * 12 // rng.randrange(1, 5), 0, 1)
+    return GradedPolynomial._over(tuple(map(int, weights)), d, 12, table)

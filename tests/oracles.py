@@ -203,3 +203,14 @@ def literal_substitute(p_terms: dict, i: int, r_terms: dict, nvars: int) -> dict
         for key, value in literal_product({stripped: c}, power).items():
             out[key] = out[key] + value if key in out else value
     return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def literal_replay(terms: dict, ops, nvars: int) -> dict:
+    """A normal form's change sequence replayed on a {exps: Coeff} term dict:
+    each substitution by `literal_substitute`, the rescale term by term."""
+    for op in ops:
+        if op.kind == "substitute":
+            terms = literal_substitute(terms, op.var, dict(op.replacement.terms), nvars)
+        else:
+            terms = {e: c * op.factor for e, c in terms.items()}
+    return terms

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wfci import cli, cylinder, poly, tables
+from wfci import cli, poly, tables
 from wfci.cli import main
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor, general_qs, linear_cone_flags, well_formed_ci
@@ -317,6 +317,22 @@ def test_normal_form_field_clash_exits_5(tmp_path, capsys, terms, message):
     assert run(capsys, "normal-form", str(src), "--pair", "0,1") == (5, "", message)
 
 
+@pytest.mark.parametrize("radicand, message", [
+    (4, "radicand 4 is not square-free"), (-4, "radicand -4 is not square-free"),
+    (8, "radicand 8 is not square-free"), (0, "radicand 0 is not square-free"),
+    (10**12 + 39, "radicand of magnitude above 1000000000000 refused")])
+def test_normal_form_refuses_a_radicand_that_is_not_square_free(tmp_path, capsys,
+                                                                radicand, message):
+    # 2 - sqrt(4) is zero, but was once kept as a term of G
+    doc = GradedPolynomial((1, 1, 1, 1), 2, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}).to_json()
+    doc["terms"].append({"exps": [0, 0, 2, 0], "coeff": "2", "radical": "-1",
+                         "radicand": radicand})
+    src = tmp_path / "radicand.json"
+    src.write_text(json.dumps(doc))
+    assert run(capsys, "normal-form", str(src), "--pair", "0,1") == (
+        2, "", f"error: malformed polynomial JSON: {message}\n")
+
+
 def test_normal_form_missing_file(capsys):
     code, _, err = run(capsys, "normal-form", "/no/such/file.json",
                        "--pair", "0,1")
@@ -352,7 +368,6 @@ def test_normal_form_substitution_cap_exits_2(capsys, monkeypatch):
         made.append(len(left) * len(right))
         return real(table, left, right)
     monkeypatch.setattr(poly, "_mul_into", counting)
-    monkeypatch.setattr(cylinder, "_mul_into", counting)
     start = time.perf_counter()
     code, out, err = run(capsys, "normal-form", "--weights", "1,1,100000", "--pair", "0,2")
     assert (code, out) == (2, "")

@@ -16,7 +16,7 @@ from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor
 
-from oracles import literal_codim3_assignment, literal_pair
+from oracles import literal_codim3_assignment, literal_pair, literal_replay
 
 
 def desc(ws, ds):
@@ -318,6 +318,7 @@ def test_normal_form_seeded_generic_members():
         assert not nf.remainder.involves(u) and not nf.remainder.involves(v)
         assert set(nf.result.terms) == set(nf.remainder.terms) | {cross}
         assert replay_changes(F, nf.change_sequence) == nf.result
+        assert literal_replay(dict(F.terms), nf.change_sequence, length) == dict(nf.result.terms)
         done += 1
 
     # members whose coefficients carry one radicand, as the file inputs of the
@@ -345,6 +346,7 @@ def test_normal_form_seeded_generic_members():
         assert set(nf.result.terms) == set(nf.remainder.terms) | {
             tuple(int(k in nf.pair) for k in range(len(ws)))}
         assert replay_changes(F, nf.change_sequence) == nf.result
+        assert literal_replay(terms, nf.change_sequence, len(ws)) == dict(nf.result.terms)
         seen["done"] += 1
         seen["adjoined"] += nf.extension_used is not None
         seen["radical_scale"] += any(op.kind == "scale" and not op.factor.is_rational

@@ -11,6 +11,7 @@ parent that ran only that call), so that a busy host does not fail it.  The
 cases run one at a time.
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -27,6 +28,13 @@ TEN_AT_VALUE_CAP = ",".join(str(cli.MAX_VALUE - k) for k in range(9, -1, -1))
 TWELVE_AROUND_VALUE_CAP = ",".join(str(cli.MAX_VALUE + k) for k in range(-6, 6))
 THREE_HUNDRED_ONES = ",".join(["1"] * 300)
 OUT = "OUT"   # replaced by a path under the test's own directory
+# input files, each written under the test's own directory and replaced by
+# its path: x0^2 + x0*x1 + (10^24 + 7)*x1^2 + x2*x3, whose discriminant
+# -(4*10^24 + 27) once took its square root by trial division for over 20 s
+INPUTS = {"large-discriminant.json": {"weights": [1, 1, 1, 1], "degree": 2, "terms": [
+    {"exps": exps, "coeff": coeff} for exps, coeff in (
+        ([2, 0, 0, 0], "1"), ([1, 1, 0, 0], "1"), ([0, 2, 0, 0], str(10**24 + 7)),
+        ([0, 0, 1, 1], "1"))]}}
 
 # (argv, exit code, error line or None, CPU seconds, address space in MB)
 CASES = [
@@ -53,6 +61,10 @@ CASES = [
     (["normal-form", "--weights", "1,1,20000", "--pair", "0,2"],
      2, "error: substitution needs more than 1000000 term products",
      10, 1024),                                                # 0.25 s, 34 MB
+    # a square root is refused above poly.RADICAND_CAP, before factorizing
+    (["normal-form", "large-discriminant.json", "--pair", "0,1"],
+     2, "error: radicand of magnitude above 1000000000000 refused",
+     10, 512),                                                 # 0.05 s, 20 MB
     # a 186,643-term member inside the monomial cap, refused only by the
     # substitution cap after it is built
     (["normal-form", "--weights", "1,1,1,1,47,47", "--pair", "4,5"],
@@ -103,7 +115,10 @@ def _limited(cpu_s: int, as_mb: int):
                          ids=[" ".join(case[0]) for case in CASES])
 def test_hostile_input_exits_cleanly(tmp_path, argv, code, error, cpu_s, as_mb):
     out = tmp_path / "records.jsonl"
-    argv = [str(out) if a == OUT else a for a in argv]
+    for name, doc in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(out) if a == OUT else str(tmp_path / a) if a in INPUTS else a
+            for a in argv]
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-m", "wfci", *argv], env=env,
                           stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,13 +6,15 @@ from itertools import product
 import pytest
 
 from wfci import poly
+from wfci.intarith import factorize
 from wfci.poly import (Coeff, GradedPolynomial, eligible_partners,
                        generic_member, monomials_of_degree, poly_mul,
                        representable, semigroup_mask, substitute,
                        weighted_degree)
+from wfci.cylinder import NormalFormError, normal_form
 
 from oracles import (brute_partners, dfs_representable, literal_product,
-                     literal_substitute)
+                     literal_replay, literal_substitute)
 
 
 # --- coefficients ---------------------------------------------------------
@@ -48,6 +51,31 @@ def test_coeff_sqrt_normalizes_radicand():
 def test_coeff_sqrt_one_collapses():
     c = Coeff(Fraction(2), Fraction(3), 1)
     assert c.is_rational and c.base == 5
+
+
+def test_squarefree_split_matches_the_factorization():
+    # division to the cube root leaves a rest with at most two prime factors,
+    # a square or square-free: compare with the full factorization, on random
+    # n and on primes, prime squares and prime pairs near RADICAND_CAP
+    def literal(n):
+        u, m = 1, 1
+        for p, e in factorize(abs(n)):
+            u, m = u * p ** (e // 2), m * p ** (e % 2)
+        return u, m if n > 0 else -m
+
+    rng = random.Random(29)
+    big = (999_983, 999_979, 10**12 - 11)
+    cases = [rng.randint(-10**9, 10**9) or 1 for _ in range(3000)]
+    cases += [a * b * s * c for a in big[:2] for b in (1, *big[:2]) for s in (1, -1)
+              for c in (1, 2, 4) if a * b * c <= poly.RADICAND_CAP] + [big[2], -big[2]]
+    for n in cases:
+        assert poly._squarefree_split(n) == literal(n), n
+    assert poly._squarefree_split(-poly.RADICAND_CAP) == (10**6, -1)
+    for n in (poly.RADICAND_CAP + 1, -(10**24 + 7)):
+        with pytest.raises(ValueError, match=f"^radicand of magnitude above {poly.RADICAND_CAP} refused$"):
+            poly._squarefree_split(n)
+    with pytest.raises(ValueError, match="^radicand 8 is not square-free$"):
+        Coeff.from_json({"coeff": "2", "radical": "-1", "radicand": 8})
 
 
 # --- degrees and representability ----------------------------------------
@@ -320,6 +348,12 @@ def test_poly_mul_degree_and_values():
     t = GradedPolynomial((1, 1), 1, {(1, 0): 1, (0, 1): -1})
     assert poly_mul(s, t).terms == {(2, 0): Coeff(Fraction(1)),
                                     (0, 2): Coeff(Fraction(-1))}
+    # (1 + sqrt(2))(1 - sqrt(2)) = -1: the radical cancels, and the product
+    # equals, and hashes as, the rational polynomial
+    r = GradedPolynomial(w, 1, {(1, 0): Coeff(Fraction(1), Fraction(1), 2)})
+    c = GradedPolynomial(w, 1, {(1, 0): Coeff(Fraction(1), Fraction(-1), 2)})
+    assert poly_mul(r, c) == GradedPolynomial(w, 2, {(2, 0): -1})
+    assert hash(poly_mul(r, c)) == hash(GradedPolynomial(w, 2, {(2, 0): -1}))
 
 
 def _random_poly(rng, w, d, m, mixed):
@@ -406,38 +440,70 @@ def test_incompatible_radicands_raise_from_substitute_and_poly_mul():
         poly_mul(q, s)
 
 
-def test_reduced_matches_the_integral_round_trip():
-    # _reduced(D, T) is _integral(_from_integral(D, T)): the same D, numerators
-    # and term order, with m compared only where b != 0 (no product reads it)
+def _kernel_outputs(kind):
+    """(output, its literal expansion as {exps: Coeff}, the product of the
+    input denominators it was computed over, or None) for seeded inputs of
+    one kernel: coefficients over mixed denominators, a share with radicals."""
     rng = random.Random(23)
-    w, deg = (1, 2, 3), 6
-    monos = list(monomials_of_degree(w, deg))
+    out = []
+    while len(out) < 40:
+        n = rng.randint(2, 4)
+        w = tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))
+        i, j = rng.sample(range(n), 2)
+        m = rng.choice((1, 2, 3, -1))
+        p = _random_poly(rng, w, rng.randint(1, 8), m, mixed=False)
+        q = _random_poly(rng, w, p.degree if kind == "sum" else rng.randint(1, 5),
+                         m, mixed=False) if p else None
+        if q is None:
+            continue
+        if kind == "product":
+            out.append((poly_mul(p, q), literal_product(p.terms, q.terms), p.D * q.D))
+        elif kind == "sum":
+            want = {e: p.coefficient(e) - q.coefficient(e) for e in {*p.terms, *q.terms}}
+            out.append((p - q, {e: c for e, c in want.items() if not c.is_zero},
+                        math.lcm(p.D, q.D)))
+        elif kind == "scale":
+            factor = Coeff(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                           Fraction(rng.randint(0, 3), rng.randint(1, 5)), m)
+            out.append((p.scale(factor), literal_product(p.terms, {(0,) * n: factor}),
+                        p.D * math.lcm(factor.base.denominator, factor.rad.denominator)))
+        elif kind == "substitution":
+            rest = [e for e in monomials_of_degree(w, w[i]) if e[i] == 0]
+            r = GradedPolynomial(w, w[i], {tuple(int(k == i) for k in range(n)): 1, **{
+                e: Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for e in rest[:2]}})
+            out.append((substitute(p, i, r), literal_substitute(p.terms, i, r.terms, n),
+                        p.D * r.D ** max(e[i] for e in p.terms)))
+        else:
+            F = generic_member(w, w[i] + w[j], rng.randrange(1000))
+            try:
+                nf = normal_form(F, (i, j))
+            except NormalFormError:
+                continue
+            out.append((nf.result, literal_replay(dict(F.terms), nf.change_sequence, n), None))
+    return out
 
-    def normal(table):
-        return [(e, a, b, m if b else 1) for e, (a, b, m) in table.items()]
 
-    seen = {"reduced": 0, "radical": 0, "zero_b_radicand": 0, "negative": 0}
-    tables = [(rng.randint(1, 50), {}) for _ in range(3)]
-    for _ in range(500):
-        common = rng.choice((1, 2, 3, 6, 35, 210))
-        table = {}
-        for e in rng.sample(monos, rng.randint(1, len(monos))):
-            m = rng.choice((1, 2, 3, -1, -7))
-            b = rng.randint(-9, 9) if m != 1 else 0
-            a = rng.randint(-9, 9) if b else rng.choice((-1, 1)) * rng.randint(1, 9)
-            if not b and rng.random() < 0.3:
-                m = rng.choice((2, -7))      # left over after a radical cancelled
-            table[e] = (a * common, b * common, m)
-        tables.append((rng.randint(1, 40) * common, table))
-    for D, table in tables:
-        got_d, got = poly._reduced(D, dict(table))
-        want_d, want = poly._integral(poly._from_integral(w, deg, D, table))
-        assert (got_d, normal(got)) == (want_d, normal(want)), (D, table)
-        seen["reduced"] += got_d != D
-        seen["radical"] += any(b for _, b, _ in table.values())
-        seen["zero_b_radicand"] += any(m != 1 and not b for _, b, m in table.values())
-        seen["negative"] += any(a < 0 or b < 0 for a, b, _ in table.values())
-    assert min(seen.values()) >= 50, seen
+@pytest.mark.parametrize("kind", ["product", "sum", "scale", "substitution", "normal form"])
+def test_kernel_outputs_are_stored_over_the_least_denominator(kind, monkeypatch):
+    # each output holds integer numerators over D with gcd(D, numerators) = 1
+    # and no zero term, equals its literal expansion, and keeps the contract
+    # of the `terms` view: keys and length make no Coeff, and get(exps) is a
+    # Coeff, or None for an absent exponent
+    outputs = _kernel_outputs(kind)
+    assert sum(any(b for _, b, _ in got.table.values()) for got, _, _ in outputs) >= 5
+    # the denominator a kernel computes over is not always the least one
+    assert kind == "normal form" or any(got.D < D for got, _, D in outputs)
+    for got, want, _ in outputs:
+        numerators = [x for a, b, _ in got.table.values() for x in (a, b)]
+        assert got.D > 0 and math.gcd(got.D, *numerators) == 1
+        assert all(a or b for a, b, _ in got.table.values())
+        assert dict(got.terms.items()) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "Coeff", None)
+            assert len(got.terms) == len(want) and list(got.terms) == list(got.table)
+        for e, (a, b, _) in got.table.items():
+            assert got.terms.get(e).base == Fraction(a, got.D)
+        assert got.terms.get((0,) * (got.nvars + 1)) is None
 
 
 def test_json_round_trip():

@@ -79,7 +79,7 @@ MUTABLE = {Violation, VerifyReport}
 # CylinderVerdict holds a dict of flags, CandidateRecord such a verdict
 HOLDS_DICT = {CylinderVerdict, CandidateRecord}
 # classes in wfci modules that are not records
-NOT_RECORDS = {"GradedPolynomial", "_ReportEncoder", "_Progressions", "_GcdRows"}
+NOT_RECORDS = {"GradedPolynomial", "_Terms", "_ReportEncoder", "_Progressions", "_GcdRows"}
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
 
 
