@@ -142,14 +142,6 @@ class Coeff(Record):
     def __truediv__(self, other) -> "Coeff":
         return self * Coeff.of(other).inverse()
 
-    def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.base)
-        rad = f"{self.rad}*sqrt({self.m})"
-        if self.base == 0:
-            return rad
-        return f"{self.base} + {rad}"
-
     def to_json(self) -> dict:
         return {"coeff": str(self.base), "radical": str(self.rad), "radicand": self.m}
 
@@ -266,18 +258,6 @@ class GradedPolynomial:
 
     def __hash__(self):
         return hash((self.weights, self.degree, self.D, frozenset(self.table.items())))
-
-    def __str__(self) -> str:
-        if not self.table:
-            return "0"
-        parts = []
-        for exps in sorted(self.table):
-            factors = [f"x{i}^{e}" if e > 1 else f"x{i}"
-                       for i, e in enumerate(exps) if e]
-            mono = "*".join(factors) if factors else "1"
-            c = self.coefficient(exps)
-            parts.append(mono if c == ONE else f"({c})*{mono}")
-        return " + ".join(parts)
 
     def to_json(self) -> dict:
         terms = self.terms
