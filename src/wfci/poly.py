@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import add, mul
@@ -36,11 +37,13 @@ from .record import Record, setfield
 # Largest |n| whose square-free part is computed: the square root of a
 # rational refuses |numerator * denominator| above it, and so does a JSON
 # radicand.  Trial division to the cube root takes at most 0.8 ms below it
-# (a prime near 10^12; 2-vCPU x86-64, CPython 3.11), once per JSON term; by
-# division to the square root, a discriminant near 10^24 ran for over 20 s.
+# (a prime near 10^12; 2-vCPU x86-64, CPython 3.11), once per distinct value
+# while it stays cached; by division to the square root, a discriminant near
+# 10^24 ran for over 20 s.
 RADICAND_CAP = 10**12
 
 
+@lru_cache(maxsize=1024)
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = u**2 * m with m square-free (sign kept on m); returns (u, m).
     |n| above RADICAND_CAP raises ValueError."""
@@ -154,7 +157,7 @@ class Coeff(Record):
         return cls(Fraction(obj.get("coeff", "0")), Fraction(obj.get("radical", "0")), m)
 
 
-ONE = Coeff(Fraction(1))
+ZERO, ONE = Coeff(Fraction(0)), Coeff(Fraction(1))
 
 
 def weighted_degree(exponents: Sequence[int], weights: Sequence[int]) -> int:
@@ -216,7 +219,7 @@ class GradedPolynomial:
         return not self.table
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return self.terms.get(tuple(exps), Coeff(Fraction(0)))
+        return self.terms.get(tuple(exps), ZERO)
 
     def radicands(self) -> list[int]:
         """The radicands of the irrational coefficients, ascending."""

@@ -53,14 +53,14 @@ CASES = [
      2, "error: at most 10 weights are accepted", 10, 512),    # 0.08 s, 21 MB
     # normal-form --weights: the substitution cap of 10^6 term products
     (["normal-form", "--weights", "1,1,800", "--pair", "0,2"],
-     0, None, 20, 1024),                                       # 1.8 s, 119 MB
+     0, None, 20, 1024),                                       # 0.78 s, 118 MB
     (["normal-form", "--weights", "1,1,100000", "--pair", "0,2"],
      2, "error: substitution needs more than 1000000 term products",
-     20, 1024),                                                # 2.6 s, 108 MB
+     20, 1024),                                                # 0.85 s, 87 MB
     # its powers up to the 1,000th were once built before the refusal
     (["normal-form", "--weights", "1,1,20000", "--pair", "0,2"],
      2, "error: substitution needs more than 1000000 term products",
-     10, 1024),                                                # 0.25 s, 34 MB
+     10, 1024),                                                # 0.13 s, 29 MB
     # a square root is refused above poly.RADICAND_CAP, before factorizing
     (["normal-form", "large-discriminant.json", "--pair", "0,1"],
      2, "error: radicand of magnitude above 1000000000000 refused",
@@ -69,12 +69,12 @@ CASES = [
     # substitution cap after it is built
     (["normal-form", "--weights", "1,1,1,1,47,47", "--pair", "4,5"],
      2, "error: substitution needs more than 1000000 term products",
-     20, 2048),                                                # 2.6 s, 203 MB
+     20, 2048),                                                # 1.4 s, 186 MB
     # the generic member's cap of 200,000 monomials (142,507 inside)
     (["normal-form", "--weights", "2,2,2,2,2,2,51,50", "--pair", "6,7"],
-     0, None, 60, 2048),                                       # 3.2 s, 261 MB
+     0, None, 60, 2048),                                       # 2.4 s, 203 MB
     (["normal-form", "--weights", "1,1,1,1,50,50", "--pair", "4,5"],
-     2, "error: monomial count exceeds cap 200000", 10, 1024),  # 0.7 s, 41 MB
+     2, "error: monomial count exceeds cap 200000", 10, 1024),  # 0.28 s, 40 MB
     # more than 10 weights: twelve once took 12 s at 321 MB, three hundred
     # peaked at 2.9 GB
     (["normal-form", "--weights", "1,1,1,1,1,1,1,1,1,1,5,4", "--pair", "10,11"],
