@@ -29,7 +29,8 @@ condition on them (the residues mod the largest weight that the
 quasi-smoothness screen admits, the step, the remaining gcds) is a
 congruence, read from a table of residue-progression masks, and the
 bounds and linear cones clear bits; the set bits are the splits in
-ascending order.
+ascending order.  The screen holds every weight to its one-variable
+clause: the largest in these masks, each smaller one per split.
 """
 
 from __future__ import annotations
@@ -218,19 +219,36 @@ class _Progressions(dict):
 
 
 class _GcdRows(dict):
-    """Bitmasks up to `bound`: self[g, c] has the bits x, 1 <= x <= bound,
-    with gcd(g, x) dividing c (self[g, 1]: the x coprime to g).  A row is
-    built on its first use."""
+    """Bitmasks up to `bound`, each built on its first use: self[g, c] has
+    the bits x, 1 <= x <= bound, with gcd(g, x) dividing c (self[g, 1]: the
+    x coprime to g), and self[v], for an integer v, the x dividing v (every
+    x at v = 0)."""
 
     def __init__(self, bound: int):
         super().__init__()
         self.bound = bound
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        g, c = key
-        row = self[key] = sum(1 << x for x in range(1, self.bound + 1)
-                              if c % gcd(g, x) == 0)
+    def __missing__(self, key) -> int:
+        xs = range(1, self.bound + 1)
+        if type(key) is int:
+            row = sum(1 << x for x in xs if key % x == 0)
+        else:
+            g, c = key
+            row = sum(1 << x for x in xs if c % gcd(g, x) == 0)
+        self[key] = row
         return row
+
+
+def _residue_bitsets(prefix: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(a, bitset of the residues mod a of the prefix's weights) for each
+    weight a > 1 of the prefix."""
+    out = []
+    for a in {*prefix} - _ONE:
+        r = 0
+        for b in prefix:
+            r |= 1 << b % a
+        out.append((a, r))
+    return out
 
 
 def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
@@ -251,11 +269,18 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     (n-2)-subset gcds of the prefix.  At c = 2 the (n-2)-subset gcds must divide one degree;
     those dividing the step already divide both.
 
-    Each degree is then screened by the one-variable clause of the largest
-    weight a = x: a degree with no monomial in x_a needs a partner monomial
-    x_a^m * x_e, so it is congruent mod a to some weight.  At c = 2 a split
-    passes when a divides one degree or both residues are weight residues.
-    The screen drops only what `qs_*_fast`'s own residue pre-pass rejects.
+    Each degree is then screened by the one-variable clause of every weight
+    a (Iano-Fletcher Thm 8.1 / 8.7): a degree with no monomial in x_a needs
+    a partner monomial x_a^m * x_e, so it is congruent mod a to some
+    weight; a multidegree passes when a divides one degree or every degree
+    is a weight residue mod a.  The screen drops only what `qs_*_fast`'s
+    own residue pre-pass rejects.  The largest weight x is sieved in the
+    masks below, each smaller weight per split against its
+    `_residue_bitsets` entry.  The splits handed to the check fall from
+    274,864 with no screen to 27,020 with the largest weight's clause and
+    832 with every weight's at `--dim 2 --codim 2 --index 1 --max-weight
+    25`, and from 12,044 to 95 at `--dim 2 --codim 1 --amplitude
+    CalabiYau --max-weight 50`.
 
     The last weights x are sieved as one bitmask per prefix (bit x set iff
     x may pass), built from the rows of `per`: prefix[-1] <= x <=
@@ -266,13 +291,17 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     class of x mod l2, and when each gcd(g, x), g in the prefix's
     (n-2)-subset gcds, divides u (it divides x already).  So, with one
     degree sum, no x is visited whose tuple has none that is admissible.
+    A hypersurface of one degree sum also keeps x only if x divides u - b
+    for some b in {0} ∪ prefix, which is x's clause (s mod x is 0 or a
+    prefix weight), read from the divisor rows of `per`.
 
     At c = 2 the first degrees d1 of one degree sum s are sieved as one
-    bitmask (bit d1 set iff d1 passes): every condition above is a
-    congruence of d1, read from the progression rows of `per`, or a bound
-    2 <= d1 <= s/2, or a cone d1 or s - d1 to clear.  The set bits of both
-    masks are taken from the lowest up, so the tuples come out in
-    ascending x and the splits in ascending d1.
+    bitmask (bit d1 set iff d1 passes): every condition above but the
+    smaller weights' clauses is a congruence of d1, read from the
+    progression rows of `per`, or a bound 2 <= d1 <= s/2, or a cone d1 or
+    s - d1 to clear.  The set bits of both masks are taken from the lowest
+    up, so the tuples come out in ascending x and the splits in ascending
+    d1.
     """
     lo_gap, hi_gap = gaps
     floor = 2 * config.codim
@@ -280,6 +309,7 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     base = sum(prefix)
     first = prefix[-1]
     single = lo_gap == hi_gap
+    hypersurface = config.codim == 1
     if single:
         u = base - lo_gap
         if gcd(l2, u) != 1:
@@ -288,6 +318,11 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
         xs = per[l2][-u % l2]
         for g in t1:
             xs &= per.divides[g, gcd(g, u)]
+        if hypersurface:
+            clause = 0
+            for b in {0, *prefix}:
+                clause |= per.divides[u - b]
+            xs &= clause
     else:
         xs = per.divides[l2, 1]
     xs &= (2 << config.max_weight) - 1 >> first << first
@@ -304,20 +339,19 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
     # every prefix weight b <= x, so its residue mod x is b, or 0 at b = x
     residues = {0, *prefix}
     last_residues = residues - {prefix[-1]}
-    hypersurface = config.codim == 1
-    # the step bounds the sums of a window and the first degrees of splits;
-    # the mask made it divide a single sum, which is then the only sum, and
-    # a hypersurface, having no splits, needs no step for it
-    steps = t1 and not (single and hypersurface)
+    # the smaller weights' `_residue_bitsets`, made at the prefix's first
+    # split; a weight equal to x is tested again, which changes nothing
+    smaller = None
     while xs:
         bit = xs & -xs
         x = bit.bit_length() - 1
         xs ^= bit
-        step = lcm(l2, *map(gcd, t1, repeat(x))) if steps else l2
         total = base + x
         if single:
-            sums = total - lo_gap,
+            s = total - lo_gap
         else:
+            # the step bounds the sums of a window
+            step = lcm(l2, *map(gcd, t1, repeat(x))) if t1 else l2
             lo = max(total - lo_gap, floor)
             sums = range(-(-lo // step) * step, total - hi_gap + 1, step)
             if not sums:
@@ -328,42 +362,105 @@ def _degree_splits(config: SearchConfig, prefix: tuple[int, ...],
         # Thm 8.1 / 8.7): a degree not divisible by x is a weight residue
         res = residues if x > prefix[-1] else last_residues
         if hypersurface:
-            for s in sums:
-                if s % x in res and not low >> s & 1:
+            # a single sum has passed x's clause in the mask
+            for s in (s,) if single else sums:
+                if low >> s & 1 or not single and s % x not in res:
+                    continue
+                if smaller is None:
+                    smaller = _residue_bitsets(prefix)
+                for a, r in smaller:
+                    if not (r | 1 << x % a) >> s % a & 1:
+                        break
+                else:
                     yield ws, (s,)
             continue
-        # the (n-2)-subset gcds that do not divide the step: those of the
-        # prefix and those of its (n-3)-subsets with x
+        by_x = per[x]
+        high = high_cones | cone << top - x
+        if single:
+            sx = s % x
+            mask = by_x[0] | by_x[sx]
+            for r in res:
+                if (sx - r) % x in res:
+                    mask |= by_x[r]
+            # the (n-2)-subset gcds g: those of the prefix, then those of
+            # its (n-3)-subsets with x.  A g dividing s divides d1 exactly
+            # when it divides d2, so it joins the step of d1; any other g
+            # leaves d1 = 0 or s (mod g).  The mask made l2 and each gcd(g,
+            # x), g in t1, divide s, and that g's own condition makes the
+            # latter divide d1, so the step of d1 starts at l2; a g that
+            # comes twice changes nothing.
+            d_step = l2
+            for g in t1:
+                sg = s % g
+                if sg:
+                    by_g = per[g]
+                    mask &= by_g[0] | by_g[sg]
+                elif d_step % g:
+                    d_step = lcm(d_step, g)
+            for g in t0:
+                g = gcd(g, x)
+                sg = s % g
+                if sg:
+                    by_g = per[g]
+                    mask &= by_g[0] | by_g[sg]
+                elif d_step % g:
+                    d_step = lcm(d_step, g)
+            mask &= per[d_step][0] & (2 << s // 2) - 4   # and 2 <= d1 <= s/2
+            mask &= ~(low | high >> top - s)
+            if mask and smaller is None:
+                smaller = _residue_bitsets(prefix)
+            while mask:
+                bit = mask & -mask
+                d1 = bit.bit_length() - 1
+                mask ^= bit
+                d2 = s - d1
+                for a, r in smaller:
+                    r1 = d1 % a
+                    if r1 and (r2 := d2 % a):
+                        r |= 1 << x % a
+                        if not r >> r1 & r >> r2 & 1:
+                            break
+                else:
+                    yield ws, (d1, d2)
+            continue
+        # the (n-2)-subset gcds that do not divide the step, as above, in
+        # one list for the window's sums
         rest = [g for g in t1 if step % g]
         for g in t0:
             g = gcd(g, x)
             if step % g and g not in rest:
                 rest.append(g)
-        by_x = per[x]
-        high = high_cones | cone << top - x
         for s in sums:
             sx = s % x
             mask = by_x[0] | by_x[sx]
             for r in res:
                 if (sx - r) % x in res:
                     mask |= by_x[r]
-            # a g dividing s divides d1 exactly when it divides d2, so it
-            # joins the step; any other g leaves d1 = 0 or s (mod g)
-            s_step = step
+            d_step = step
             for g in rest:
                 sg = s % g
                 if sg:
                     by_g = per[g]
                     mask &= by_g[0] | by_g[sg]
                 else:
-                    s_step = lcm(s_step, g)
-            mask &= per[s_step][0] & (2 << s // 2) - 4   # and 2 <= d1 <= s/2
+                    d_step = lcm(d_step, g)
+            mask &= per[d_step][0] & (2 << s // 2) - 4
             mask &= ~(low | high >> top - s)
+            if mask and smaller is None:
+                smaller = _residue_bitsets(prefix)
             while mask:
                 bit = mask & -mask
                 d1 = bit.bit_length() - 1
-                yield ws, (d1, s - d1)
                 mask ^= bit
+                d2 = s - d1
+                for a, r in smaller:
+                    r1 = d1 % a
+                    if r1 and (r2 := d2 % a):
+                        r |= 1 << x % a
+                        if not r >> r1 & r >> r2 & 1:
+                            break
+                else:
+                    yield ws, (d1, d2)
 
 
 def iter_candidates(config: SearchConfig,

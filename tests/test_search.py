@@ -5,11 +5,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from wfci import search
+from wfci import search, wci
 from wfci.search import (SearchConfig, iter_candidates, partition, run_search,
                          run_search_parallel, write_records)
-from wfci.wci import (WciDescriptor, adjunction, linear_cone_flags, well_formed_ci,
-                      CALABI_YAU, FANO)
+from wfci.wci import (WciDescriptor, adjunction, linear_cone_flags, qs_ci2_fast,
+                      qs_hypersurface_fast, well_formed_ci, CALABI_YAU, FANO)
 from wfci.wps import is_well_formed
 
 from oracles import brute_qs_ci2, brute_qs_hypersurface
@@ -234,19 +234,18 @@ def test_ambient_well_formed_reads_the_prefix_table():
         assert (math.gcd(l2, x) == 1) == is_well_formed(ws), ws
 
 
-def literal_splits(ws, sums, codim, exclude_linear_cones):
+def literal_splits(ws, sums, codim, exclude_linear_cones, largest_only=False):
     """Every sorted multidegree of each degree sum s in `sums`, with degrees
     >= 2 (s itself at codimension 1, (d1, s - d1), 2 <= d1 <= s/2, at
     codimension 2), that is intersection well-formed (each (n-1)-subset gcd
     divides every degree, and at codimension 2 each (n-2)-subset gcd one of
     them), has no linear cone when those are excluded, and passes the
-    one-variable clause of the largest weight a (a divides a degree, or
-    every degree is a weight residue)."""
+    one-variable clause of every weight a (a divides a degree, or every
+    degree is a weight residue mod a); of the largest weight alone with
+    `largest_only`."""
     both = {math.gcd(*sub) for sub in combinations(ws, len(ws) - 2)}
     one = ({math.gcd(*sub) for sub in combinations(ws, len(ws) - 3)}
            if codim == 2 else set())
-    a = ws[-1]
-    res = {w % a for w in ws}
     out = []
     for s in sums:
         splits = ([(s,)] if s >= 2 else []) if codim == 1 else \
@@ -255,8 +254,9 @@ def literal_splits(ws, sums, codim, exclude_linear_cones):
             if (all(d % g == 0 for g in both for d in degs)
                     and all(any(d % g == 0 for d in degs) for g in one)
                     and not (exclude_linear_cones and set(degs) & set(ws))
-                    and (any(d % a == 0 for d in degs)
-                         or all(d % a in res for d in degs))):
+                    and all(any(d % a == 0 for d in degs)
+                            or all(d % a in {w % a for w in ws} for d in degs)
+                            for a in (ws[-1:] if largest_only else ws))):
                 out.append(degs)
     return out
 
@@ -274,14 +274,15 @@ def literal_window(cfg, total):
     return range(floor, total + 1)
 
 
-def literal_prefix_splits(cfg, prefix):
+def literal_prefix_splits(cfg, prefix, largest_only=False):
     """The (ws, degrees) of every well-formed prefix + (x,), by x."""
     want = []
     for x in range(prefix[-1], cfg.max_weight + 1):
         ws = prefix + (x,)
         if is_well_formed(ws):
             want += [(ws, degs) for degs in literal_splits(
-                ws, literal_window(cfg, sum(ws)), cfg.codim, cfg.exclude_linear_cones)]
+                ws, literal_window(cfg, sum(ws)), cfg.codim, cfg.exclude_linear_cones,
+                largest_only)]
     return want
 
 
@@ -298,22 +299,75 @@ def check_prefix(cfg, prefix, table, per):
     return l2
 
 
-@pytest.mark.parametrize("options", [
+SPLIT_OPTIONS = [
     {}, {"index_filter": 1}, {"amplitude_filter": FANO},
     {"amplitude_filter": CALABI_YAU}, {"exclude_linear_cones": False},
-    {"index_filter": 2, "exclude_linear_cones": False}])
-def test_degree_splits_match_a_literal_filter(options):
-    # the per-prefix sieve against the conditions it encodes, one by one, on
-    # seeded prefixes of two to five weights and every last weight, for
-    # hypersurfaces and codimension 2
-    rng = random.Random(f"degree-splits-{sorted(options.items())}")
-    for codim, dim, max_weight in ((1, 1, 20), (1, 2, 14), (1, 3, 10),
-                                   (2, 1, 14), (2, 2, 12), (2, 3, 9)):
+    {"index_filter": 2, "exclude_linear_cones": False}]
+# (codim, dim, max_weight): prefixes of two to five weights
+SPLIT_SIZES = ((1, 1, 20), (1, 2, 14), (1, 3, 10), (2, 1, 14), (2, 2, 12), (2, 3, 9))
+
+
+def sampled_prefixes(options, seed):
+    """(config, prefix, gcd table, progression rows) for 16 seeded walked
+    prefixes of each of SPLIT_SIZES under `options`."""
+    rng = random.Random(f"{seed}-{sorted(options.items())}")
+    for codim, dim, max_weight in SPLIT_SIZES:
         cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
         per = search._Progressions(cfg.tuple_length * max_weight)
         walked = list(search._sorted_tuples(cfg.tuple_length, max_weight))
         for prefix, table in rng.sample(walked, 16):
-            check_prefix(cfg, prefix, table, per)
+            yield cfg, prefix, table, per
+
+
+@pytest.mark.parametrize("options", SPLIT_OPTIONS)
+def test_degree_splits_match_a_literal_filter(options):
+    # the per-prefix sieve against the conditions it encodes, one by one, on
+    # seeded prefixes and every last weight, for hypersurfaces and
+    # codimension 2
+    for cfg, prefix, table, per in sampled_prefixes(options, "degree-splits"):
+        check_prefix(cfg, prefix, table, per)
+
+
+@pytest.mark.parametrize("options", SPLIT_OPTIONS)
+def test_smaller_weight_clauses_drop_only_singleton_failures(options):
+    # the splits that the largest weight's clause keeps and the clauses of
+    # the smaller weights drop are rejected by the residue pre-pass of the
+    # quasi-smoothness scan, at a one-index subset, so the screen changes
+    # no output
+    dropped = 0
+    for cfg, prefix, table, per in sampled_prefixes(options, "dropped-splits"):
+        l2 = search._ambient_well_formed(prefix, table)
+        if not l2:
+            continue
+        kept = set(search._degree_splits(cfg, prefix, table, l2,
+                                         search._sum_gaps(cfg), per))
+        for ws, degs in literal_prefix_splits(cfg, prefix, largest_only=True):
+            if (ws, degs) not in kept:
+                failure = wci._first_failure(ws, degs, None)
+                assert failure is not None and len(failure) == 1, (ws, degs)
+                dropped += 1
+    assert dropped
+
+
+@pytest.mark.parametrize("options,splits,passing", [
+    pytest.param({"dim": 2, "codim": 2, "index_filter": 1, "max_weight": 25},
+                 832, 42, id="closure-c2"),
+    pytest.param({"dim": 2, "codim": 1, "amplitude_filter": CALABI_YAU,
+                  "max_weight": 50}, 95, 95, id="k3-c1")])
+def test_split_screen_counts(options, splits, passing):
+    # a gate on the screen's strength: the splits handed to the
+    # quasi-smoothness check.  With the largest weight's clause alone they
+    # were 27,020 at the closure and 12,044 at the K3 hypersurfaces
+    cfg = SearchConfig(**options)
+    per = search._Progressions(cfg.tuple_length * cfg.max_weight)
+    gaps = search._sum_gaps(cfg)
+    quasi_smooth = qs_hypersurface_fast if cfg.codim == 1 else qs_ci2_fast
+    got = [(ws, degs)
+           for prefix, table in search._sorted_tuples(cfg.tuple_length, cfg.max_weight)
+           if (l2 := search._ambient_well_formed(prefix, table))
+           for ws, degs in search._degree_splits(cfg, prefix, table, l2, gaps, per)]
+    assert len(got) == splits
+    assert sum(quasi_smooth(ws, *degs, None) for ws, degs in got) == passing
 
 
 @pytest.mark.parametrize("codim,sizes", [
@@ -383,6 +437,17 @@ def test_gcd_rows_hold_the_weights_whose_gcd_divides():
         keys.add((g, 1))
     assert set(rows) == keys
     assert not per          # the rows are not progression moduli
+
+
+def test_divisor_rows_hold_the_divisors():
+    # row v holds the x dividing v, which the last weights of a
+    # single-sum hypersurface prefix need (v = u - b may be 0 or negative)
+    bound = 4 * 12
+    rows = search._Progressions(bound).divides
+    for v in (-13, -12, -1, 0, 1, 7, 12, 36, 47, 48, 60, 96, 97):
+        assert rows[v] == sum(1 << x for x in range(1, bound + 1) if v % x == 0), v
+    assert rows[0] == (2 << bound) - 2
+    assert len(rows) == 13
 
 
 @pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
