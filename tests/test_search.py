@@ -356,8 +356,8 @@ def test_smaller_weight_clauses_drop_only_singleton_failures(options):
                   "max_weight": 50}, 95, 95, id="k3-c1")])
 def test_split_screen_counts(options, splits, passing):
     # a gate on the screen's strength: the splits handed to the
-    # quasi-smoothness check.  With the largest weight's clause alone they
-    # were 27,020 at the closure and 12,044 at the K3 hypersurfaces
+    # quasi-smoothness check.  The largest weight's clause alone would hand
+    # it 27,020 at the closure and 12,044 at the K3 hypersurfaces
     cfg = SearchConfig(**options)
     per = search._Progressions(cfg.tuple_length * cfg.max_weight)
     gaps = search._sum_gaps(cfg)
