@@ -30,7 +30,11 @@ quasi-smoothness screen admits, the step, the remaining gcds) is a
 congruence, read from a table of residue-progression masks, and the
 bounds and linear cones clear bits; the set bits are the splits in
 ascending order.  The screen holds every weight to its one-variable
-clause: the largest in these masks, each smaller one per split.
+clause, the largest in these masks and each smaller one per split: at
+`--dim 2 --codim 2 --index 1 --max-weight 25` it hands the
+quasi-smoothness check 832 splits, against 274,864 with no screen and
+27,020 with the largest weight's clause alone, and at `--dim 2 --codim 1
+--amplitude CalabiYau --max-weight 50` 95 degrees against 12,044.
 """
 
 from __future__ import annotations
