@@ -30,8 +30,8 @@ from .poly import ONE, Coeff, GradedPolynomial, substitute
 from .record import Record, setfield
 from .wci import (WciDescriptor, adjunction, general_qs, linear_cone_flags,
                   well_formed_ci, FANO)
-from .wps import (ChartDescription, WeightVector, WpsCylinder, is_well_formed,
-                  normalize, torus_chart, wps_cylinder)
+from .wps import (ChartDescription, WeightVector, is_well_formed, normalize,
+                  torus_chart, wps_cylinder)
 
 CYLINDRICAL = "Cylindrical"
 NOT_CYLINDRICAL = "NotCylindrical"
@@ -148,31 +148,6 @@ class TableNonCyl(Record):
     def to_json(self) -> dict:
         return {"kind": "TableNonCyl", "table": self.table_id, "row": self.row_id,
                 "n": self.n, "alpha": self.alpha.to_json() if self.alpha else None}
-
-
-class WpsChart(Record):
-    """Cylinder chart of a weighted projective space itself."""
-
-    def __init__(self, weights: tuple[int, ...], chart_subset: tuple[int, ...],
-                 torus_rank: int, affine_rank: int,
-                 polar: tuple[tuple[int, Fraction], ...]):
-        setfield(self, "weights", weights)
-        setfield(self, "chart_subset", chart_subset)
-        setfield(self, "torus_rank", torus_rank)
-        setfield(self, "affine_rank", affine_rank)
-        setfield(self, "polar", polar)
-
-    @classmethod
-    def from_cylinder(cls, cyl: WpsCylinder) -> "WpsChart":
-        return cls(tuple(cyl.trace.output.weights), cyl.chart.chart_subset,
-                   cyl.chart.torus_rank, cyl.chart.affine_rank,
-                   cyl.polar.multiplicities)
-
-    def to_json(self) -> dict:
-        return {"kind": "WpsChart", "weights": list(self.weights),
-                "chart_subset": list(self.chart_subset),
-                "torus_rank": self.torus_rank, "affine_rank": self.affine_rank,
-                "polar": [[i, str(c)] for i, c in self.polar]}
 
 
 class LinearCone(Record):
@@ -478,35 +453,33 @@ class HypersurfaceCylinder(Record):
 
     def __init__(self, pair: tuple[int, int], kept_index: int, dropped_index: int,
                  projected_weights: tuple[int, ...],       # original order, dropped removed
-                 reduced_weights: tuple[int, ...],         # after well-forming, same positions
-                 chart: ChartDescription,                  # on the reduced weights
+                 chart: ChartDescription,                  # on the reduced weights, same positions
                  complement: tuple[int, ...],              # original indices of the support
-                 polar: tuple[tuple[int, Fraction], ...],  # (original index, multiplicity)
-                 torus_rank: int, affine_rank: int):
+                 polar: tuple[tuple[int, Fraction], ...]):  # (original index, multiplicity)
         setfield(self, "pair", pair)
         setfield(self, "kept_index", kept_index)
         setfield(self, "dropped_index", dropped_index)
         setfield(self, "projected_weights", projected_weights)
-        setfield(self, "reduced_weights", reduced_weights)
         setfield(self, "chart", chart)
         setfield(self, "complement", complement)
         setfield(self, "polar", polar)
-        setfield(self, "torus_rank", torus_rank)
-        setfield(self, "affine_rank", affine_rank)
 
     def to_json(self) -> dict:
+        chart = self.chart
         return {"kind": "SumOfTwoWeightsChart", "pair": list(self.pair),
                 "kept": self.kept_index, "dropped": self.dropped_index,
                 "projected_weights": list(self.projected_weights),
-                "reduced_weights": list(self.reduced_weights),
-                "chart_subset": list(self.chart.chart_subset),
+                "reduced_weights": list(chart.weights),
+                "chart_subset": list(chart.chart_subset),
                 "complement": list(self.complement),
                 "polar": [[i, str(c)] for i, c in self.polar],
-                "torus_rank": self.torus_rank, "affine_rank": self.affine_rank}
+                "torus_rank": chart.torus_rank, "affine_rank": chart.affine_rank}
 
 
 def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCylinder:
-    """Chart data for the cylinder produced by a normal form on `desc`."""
+    """Chart data for the cylinder produced by a normal form on `desc`: the
+    explicit cylinder behind a `SumOfTwoWeights` certificate.  Library API;
+    no command builds it."""
     if desc.codim != 1:
         raise ValueError("chart construction needs codimension 1")
     u, v = nf.pair
@@ -518,18 +491,15 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
 
     # positions survive both reduction steps (y_l = x_l^{d_l}), so reuse them;
     # proj is still ascending, so the trace keeps its order
-    trace = normalize(WeightVector.of(proj))
-    reduced = trace.reduced
+    reduced = normalize(WeightVector.of(proj)).reduced
     subset = wps._first_coprime_subset(reduced, required=kept_pos)
+    # the chart's ranks are the cylinder's: they add up to len(proj) - 1 = dim
     chart = torus_chart(reduced, subset)
 
     complement = tuple(to_original[p] for p in subset)
     index = desc.ambient.total() - desc.multidegree[0]   # anti-canonical degree
     polar = wps.even_polar_split(index, ws, complement)
-    dim = desc.dim
-    torus_rank = len(subset) - 1
-    return HypersurfaceCylinder(nf.pair, kept, dropped, proj, reduced, chart,
-                                complement, polar, torus_rank, dim - torus_rank)
+    return HypersurfaceCylinder(nf.pair, kept, dropped, proj, chart, complement, polar)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +634,6 @@ def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
 
 def wps_verdict(w) -> CylinderVerdict:
     """Verdict for a weighted projective space itself: always cylindrical."""
-    cyl = wps_cylinder(w)
-    cert = WpsChart.from_cylinder(cyl)
-    return CylinderVerdict(CYLINDRICAL, cert, (CIT_WPS_CHART,), None, (),
+    return CylinderVerdict(CYLINDRICAL, wps_cylinder(w), (CIT_WPS_CHART,), None, (),
                            {"ambient_well_formed": True, "well_formed": True,
                             "quasi_smooth": True, "linear_cones": []})

@@ -1,6 +1,6 @@
 """Records: classes made of named fields, compared by value.
 
-wfci's 27 record types (descriptors, verdicts, certificates, traces) were
+wfci's 25 record types (descriptors, verdicts, certificates, traces) were
 dataclasses.  Decorating them cost about 11 ms at every start of a process,
 since each `@dataclass` execs six generated methods and a class without a
 docstring also runs `inspect.signature`; importing `dataclasses`, which
@@ -11,34 +11,29 @@ methods, built once in this module, without generating code.
 
 A record's fields are the parameters of its `__init__`, in order.  The
 `__init__` validates and normalizes its arguments, then sets each field once
-with `setfield`, since a frozen record refuses assignment.  Like the frozen
+with `setfield`, since a record refuses assignment.  Like the frozen
 dataclass it replaces, a record equals another of the same class whose
 fields, but those named `uncompared`, are equal; hashes the tuple of those
 fields; prints as `Name(field=value, ...)`; and pickles through its
-`__dict__`.  A class made with `frozen=False` can be assigned to and has no
-hash, like a dataclass with `eq` and without `frozen`.
+`__dict__`.
 """
 
 from operator import attrgetter
 
-# object.__setattr__, which a frozen record's __init__ calls for each field
+# object.__setattr__, which a record's __init__ calls for each field
 setfield = object.__setattr__
 
 
 class Record:
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen=True, uncompared=()):
+    def __init_subclass__(cls, uncompared=()):
         super().__init_subclass__()
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         compared = [name for name in cls._fields if name not in uncompared]
         get = attrgetter(*compared)
         cls._key = staticmethod(get if len(compared) > 1 else lambda r: (get(r),))
-        if not frozen:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

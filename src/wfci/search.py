@@ -65,6 +65,9 @@ class SearchConfig(Record):
             raise ValueError("max_weight must be >= 1")
         if index_filter is not None and index_filter < 1:
             raise ValueError("index must be >= 1: a Fano index is positive")
+        if amplitude_filter not in (None, FANO, CALABI_YAU):
+            raise ValueError(f"amplitude must be {FANO} or {CALABI_YAU}, "
+                             f"not {amplitude_filter!r}")
         setfield(self, "dim", dim)
         setfield(self, "codim", codim)
         setfield(self, "max_weight", max_weight)

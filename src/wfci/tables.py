@@ -153,18 +153,18 @@ def match(desc: WciDescriptor) -> Optional[tuple[str, int, Optional[int]]]:
     return None
 
 
-class Violation(Record, frozen=False):
+class Violation(Record):
     def __init__(self, table_id: str, row_id: int, n: Optional[int], reason: str):
-        self.table_id = table_id
-        self.row_id = row_id
-        self.n = n
-        self.reason = reason
+        setfield(self, "table_id", table_id)
+        setfield(self, "row_id", row_id)
+        setfield(self, "n", n)
+        setfield(self, "reason", reason)
 
 
-class VerifyReport(Record, frozen=False):
-    def __init__(self, checked: int = 0, violations: Optional[list[Violation]] = None):
-        self.checked = checked
-        self.violations = [] if violations is None else violations
+class VerifyReport(Record):
+    def __init__(self, checked: int, violations: tuple[Violation, ...]):
+        setfield(self, "checked", checked)
+        setfield(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -181,16 +181,17 @@ def verify_all(n_max: int) -> VerifyReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    report = VerifyReport()
+    checked = 0
+    violations: list[Violation] = []
     for row in load_rows():
         params = [1] if row.sporadic else list(range(1, n_max + 1))
         for n in params:
             desc = instantiate(row.table_id, row.row_id, n)
-            report.checked += 1
+            checked += 1
 
             def bad(reason: str):
-                report.violations.append(Violation(row.table_id, row.row_id,
-                                                   None if row.sporadic else n, reason))
+                violations.append(Violation(row.table_id, row.row_id,
+                                            None if row.sporadic else n, reason))
 
             if not is_well_formed(desc.ambient):
                 bad("ambient not well-formed")
@@ -208,4 +209,4 @@ def verify_all(n_max: int) -> VerifyReport:
                 bad(f"not Fano (canonical coefficient {adj.canonical_coefficient})")
             elif row.table_id in ("T2", "T3") and adj.fano_index != 1:
                 bad(f"Fano index {adj.fano_index} != 1")
-    return report
+    return VerifyReport(checked, tuple(violations))

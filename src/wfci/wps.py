@@ -197,25 +197,24 @@ def monomial_apply(exponents, matrix) -> tuple[int, ...]:
                  for j in range(size))
 
 
-class PolarDivisor(Record):
-    """Effective Q-divisor supported on coordinate hyperplanes.
+class WpsChart(Record):
+    """Anti-canonically polar cylinder chart of a weighted projective space:
+    the normalization to a well-formed space, the torus chart over a coprime
+    coordinate subset of it, and the polar divisor as (i, c) pairs, c the
+    coefficient of the hyperplane {x_i = 0} in a class sum c_i * O(a_i)."""
 
-    `multiplicities` maps a hyperplane index i to the coefficient of
-    {x_i = 0}; the represented class is sum c_i * O(a_i)."""
-
-    def __init__(self, multiplicities: tuple[tuple[int, Fraction], ...]):
-        setfield(self, "multiplicities", multiplicities)
-
-    def degree(self, weights) -> Fraction:
-        return sum((c * weights[i] for i, c in self.multiplicities), Fraction(0))
-
-
-class WpsCylinder(Record):
     def __init__(self, trace: NormalizationTrace, chart: ChartDescription,
-                 polar: PolarDivisor):
+                 polar: tuple[tuple[int, Fraction], ...]):
         setfield(self, "trace", trace)
         setfield(self, "chart", chart)
         setfield(self, "polar", polar)
+
+    def to_json(self) -> dict:
+        chart = self.chart
+        return {"kind": "WpsChart", "weights": list(chart.weights),
+                "chart_subset": list(chart.chart_subset),
+                "torus_rank": chart.torus_rank, "affine_rank": chart.affine_rank,
+                "polar": [[i, str(c)] for i, c in self.polar]}
 
 
 def _first_coprime_subset(ws: tuple[int, ...], required: int | None = None) -> tuple[int, ...]:
@@ -235,7 +234,7 @@ def _first_coprime_subset(ws: tuple[int, ...], required: int | None = None) -> t
     raise AssertionError("well-formed weights admit a proper coprime subset")
 
 
-def wps_cylinder(w) -> WpsCylinder:
+def wps_cylinder(w) -> WpsChart:
     """An anti-canonically polar cylinder chart in a weighted projective space.
 
     Normalizes first, then picks the smallest coprime coordinate subset (so a
@@ -247,9 +246,8 @@ def wps_cylinder(w) -> WpsCylinder:
     trace = normalize(w)
     ws = trace.output.weights
     idx = _first_coprime_subset(ws)
-    chart = torus_chart(trace.output, idx)
-    polar = PolarDivisor(even_polar_split(sum(ws), ws, idx))
-    return WpsCylinder(trace, chart, polar)
+    return WpsChart(trace, torus_chart(trace.output, idx),
+                    even_polar_split(sum(ws), ws, idx))
 
 
 def even_polar_split(degree: int, ws, subset) -> tuple[tuple[int, Fraction], ...]:

@@ -7,7 +7,7 @@ import pytest
 
 from wfci import tables
 from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
-                           CodimCGeneralized, Codim2Projection,
+                           CodimCGeneralized, Codim2Projection, LinearCone,
                            NOT_CYLINDRICAL,
                            NormalFormError, SumOfTwoWeights, TableNonCyl,
                            UNKNOWN, check_codimc_generalized,
@@ -15,6 +15,7 @@ from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
                            replay_changes, verdict, wps_verdict)
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor
+from wfci.wps import WpsChart
 
 from oracles import literal_codim3_assignment, literal_pair, literal_replay
 
@@ -359,28 +360,28 @@ def test_normal_form_seeded_generic_members():
 def test_cylinder_chart_quadric_surface():
     d = desc((1, 1, 1, 1), 2)
     nf = normal_form(generic_member((1, 1, 1, 1), 2, seed=3), (0, 1))
-    chart = cylinder_chart(d, nf)
-    assert chart.projected_weights == (1, 1, 1)
-    assert (chart.torus_rank, chart.affine_rank) == (0, 2)
-    assert chart.polar == ((0, Fraction(2)),)
+    cyl = cylinder_chart(d, nf)
+    assert cyl.projected_weights == (1, 1, 1)
+    assert (cyl.chart.torus_rank, cyl.chart.affine_rank) == (0, 2)
+    assert cyl.polar == ((0, Fraction(2)),)
 
 
 def test_cylinder_chart_quadric_threefold():
     d = desc((1, 1, 1, 1, 1), 2)
     nf = normal_form(generic_member((1, 1, 1, 1, 1), 2, seed=3), (0, 1))
-    chart = cylinder_chart(d, nf)
-    assert chart.affine_rank == 3    # an A^3 chart: a weight-1 coordinate exists
+    cyl = cylinder_chart(d, nf)
+    assert cyl.chart.affine_rank == 3    # an A^3 chart: a weight-1 coordinate exists
 
 
 def test_cylinder_chart_degree4_del_pezzo():
     d = desc((1, 1, 2, 3), 4)
     nf = normal_form(generic_member((1, 1, 2, 3), 4, seed=5), (0, 3))
-    chart = cylinder_chart(d, nf)
-    assert chart.projected_weights == (1, 1, 2)
-    assert chart.dropped_index == 3 and chart.kept_index == 0
+    cyl = cylinder_chart(d, nf)
+    assert cyl.projected_weights == (1, 1, 2)
+    assert cyl.dropped_index == 3 and cyl.kept_index == 0
     index = 7 - 4
-    assert sum(c * d.weights[i] for i, c in chart.polar) == index
-    assert all(c > 0 for _, c in chart.polar)
+    assert sum(c * d.weights[i] for i, c in cyl.polar) == index
+    assert all(c > 0 for _, c in cyl.polar)
 
 
 def test_cylinder_chart_polar_identity_random():
@@ -395,11 +396,11 @@ def test_cylinder_chart_polar_identity_random():
         except ValueError:
             continue
         nf = normal_form(F, pair)
-        chart = cylinder_chart(dd, nf)
+        cyl = cylinder_chart(dd, nf)
         index = sum(ws) - dd.multidegree[0]
-        assert sum(c * ws[i] for i, c in chart.polar) == index
-        assert chart.torus_rank + chart.affine_rank == dd.dim
-        assert chart.affine_rank >= 1
+        assert sum(c * ws[i] for i, c in cyl.polar) == index
+        assert cyl.chart.torus_rank + cyl.chart.affine_rank == dd.dim
+        assert cyl.chart.affine_rank >= 1
         done += 1
 
 
@@ -620,8 +621,12 @@ def test_verdict_golden_bytes():
     lines = []
     kinds = set()
     conjectural = set()
+    wps_cones = 0
     for d in sample:
-        doc = verdict(d).to_json()
+        v = verdict(d)
+        wps_cones += isinstance(v.certificate, LinearCone) \
+            and isinstance(v.certificate.inner, WpsChart)
+        doc = v.to_json()
         lines.append(json.dumps(doc, sort_keys=True))
         cert = doc["certificate"]
         kinds.add((cert and cert["kind"], doc["status"]))
@@ -631,5 +636,7 @@ def test_verdict_golden_bytes():
             ("TableNonCyl", NOT_CYLINDRICAL), (None, UNKNOWN)} <= kinds
     assert ("SumOfTwoWeights", True) in conjectural
     assert {c for _, c in conjectural} == {True, False, None}
+    # the pin covers the WPS chart record, reached through linear cones
+    assert wps_cones == 93
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == VERDICT_GOLDEN_SHA256, (len(sample), digest)

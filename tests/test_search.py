@@ -27,6 +27,10 @@ def test_config_validation():
     for index in (0, -1):
         with pytest.raises(ValueError):
             SearchConfig(dim=2, codim=1, max_weight=5, index_filter=index)
+    # an unknown amplitude would run unfiltered
+    for amplitude in ("fano", wci.GENERAL_TYPE):
+        with pytest.raises(ValueError):
+            SearchConfig(dim=2, codim=2, max_weight=9, amplitude_filter=amplitude)
 
 
 def literal_candidates(config):
@@ -88,6 +92,28 @@ def test_iter_candidates_matches_literal_filter(dim, codim, max_weight, options)
     assert got == literal_candidates(cfg)
     if not cfg.exclude_linear_cones:
         assert any(linear_cone_flags(WciDescriptor.of(*key)) for key in got)
+
+
+@pytest.mark.parametrize("amplitude", [FANO, None], ids=["fano", "unfiltered"])
+@pytest.mark.parametrize("dim,codim,max_weight", [(2, 2, 9), (2, 1, 14), (3, 2, 6)],
+                         ids=["2-2-9", "2-1-14", "3-2-6"])
+def test_window_equals_the_single_sums_over_its_gaps(dim, codim, max_weight, amplitude):
+    # _degree_splits walks a window of degree sums and a single sum apart;
+    # a window's candidates are those of an index (or, at gap 0, Calabi-Yau)
+    # run for each of its gaps
+    cfg = SearchConfig(dim, codim, max_weight, amplitude_filter=amplitude)
+    lo_gap, hi_gap = search._sum_gaps(cfg)
+    singles = []
+    for gap in range(hi_gap, lo_gap + 1):
+        one = SearchConfig(dim, codim, max_weight, index_filter=gap or None,
+                           amplitude_filter=None if gap else CALABI_YAU)
+        assert search._sum_gaps(one) == (gap, gap)
+        singles += iter_candidates(one)
+
+    def key(d):
+        return d.weights, sum(d.multidegree), d.multidegree
+    window = [key(d) for d in iter_candidates(cfg)]
+    assert window and window == sorted(map(key, singles))
 
 
 def test_k3_counts_from_the_literature():

@@ -150,12 +150,12 @@ def test_wps_cylinder_examples():
     cyl = wps_cylinder((1, 1, 1))
     assert cyl.chart.chart_subset == (0,)
     assert cyl.chart.affine_rank == 2
-    assert cyl.polar.multiplicities == ((0, Fraction(3)),)
+    assert cyl.polar == ((0, Fraction(3)),)
 
     cyl = wps_cylinder((3, 4, 5))
     assert cyl.chart.chart_subset == (0, 1)
-    assert cyl.polar.degree((3, 4, 5)) == 12
-    assert all(c > 0 for _, c in cyl.polar.multiplicities)
+    assert sum(c * (3, 4, 5)[i] for i, c in cyl.polar) == 12
+    assert all(c > 0 for _, c in cyl.polar)
 
     # weight-1 coordinate present: the full affine chart appears
     cyl = wps_cylinder((1, 7, 12, 18))
@@ -175,6 +175,6 @@ def test_wps_cylinder_polar_is_anticanonical():
         ws = tuple(rng.randrange(1, 25) for _ in range(rng.randrange(2, 6)))
         cyl = wps_cylinder(ws)
         out = cyl.trace.output.weights
-        assert cyl.polar.degree(out) == sum(out)
-        assert all(c > 0 for _, c in cyl.polar.multiplicities)
+        assert sum(c * out[i] for i, c in cyl.polar) == sum(out)
+        assert all(c > 0 for _, c in cyl.polar)
         assert cyl.chart.affine_rank >= 1
