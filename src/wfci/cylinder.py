@@ -452,9 +452,9 @@ class HypersurfaceCylinder(Record):
     and sums to the anti-canonical degree."""
 
     def __init__(self, pair: tuple[int, int], kept_index: int, dropped_index: int,
-                 projected_weights: tuple[int, ...],       # original order, dropped removed
-                 chart: ChartDescription,                  # on the reduced weights, same positions
-                 complement: tuple[int, ...],              # original indices of the support
+                 projected_weights: tuple[int, ...],     # original order, dropped removed
+                 chart: ChartDescription,                # on the well-formed projection
+                 complement: tuple[int, ...],            # original indices of the support
                  polar: tuple[tuple[int, Fraction], ...]):  # (original index, multiplicity)
         setfield(self, "pair", pair)
         setfield(self, "kept_index", kept_index)
