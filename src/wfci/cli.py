@@ -252,6 +252,9 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = search.SearchConfig(
             dim=args.dim, codim=args.codim, max_weight=args.max_weight,

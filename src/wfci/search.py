@@ -14,27 +14,30 @@ weight.  The prefixes are walked depth first, each with a small table of
 its subset gcds other than 1, only for the four subset sizes that the
 well-formedness conditions of the full tuple can still need; the table of
 prefix + (x,) is extended from that of prefix, so every gcd comes from one
-gcd of a carried value with x.  A prefix that is not coprime is left whole,
-since no last weight makes its tuples well-formed.  Otherwise its lcm l2
-of the next smaller subset gcds and its weight sum give the set of its
-last weights x as one integer bitmask: x must be coprime to l2 for the
-ambient verdict, and with one degree sum per tuple (an index or
-Calabi-Yau filter) that sum must be a multiple of the degree step, which
-is one residue class of x mod l2 and one divisibility row per remaining
-table entry.  Each row is built lazily once per search, and a prefix
-whose mask is empty is left at once.  The set bits, lowest first, are the
-last weights in ascending order.  The first degrees of the
-codimension-2 splits of one degree sum are sieved the same way: each
-condition on them (the residues mod the largest weight that the
-quasi-smoothness screen admits, the step, the remaining gcds) is a
-congruence, read from a table of residue-progression masks, and the
-bounds and linear cones clear bits; the set bits are the splits in
-ascending order.  The screen holds every weight to its one-variable
-clause, the largest in these masks and each smaller one per split: at
-`--dim 2 --codim 2 --index 1 --max-weight 25` it hands the
-quasi-smoothness check 832 splits, against 274,864 with no screen and
-27,020 with the largest weight's clause alone, and at `--dim 2 --codim 1
---amplitude CalabiYau --max-weight 50` 95 degrees against 12,044.
+gcd of a carried value with x.  The level before the last is sieved as one
+integer bitmask per parent prefix: a prefix that is not coprime, or (with
+one degree sum) whose l2 (below) is not coprime to its weight sum less the
+gap, has no well-formed tuple with an admissible degree sum and is never
+built; at `--dim 2 --codim 2 --index 1 --max-weight 25` the walk builds
+13,183 of the box's 20,475 prefixes.  A prefix's lcm l2 of the next
+smaller subset gcds and its weight sum give the set of its last weights x
+as one integer bitmask: x must be coprime to l2 for the ambient verdict,
+and with one degree sum per tuple (an index or Calabi-Yau filter) that sum
+must be a multiple of the degree step, which is one residue class of x mod
+l2 and one divisibility row per remaining table entry.  Each row is built
+lazily once per search, and a prefix whose mask is empty is left at once.
+The set bits, lowest first, are the last weights in ascending order.  The
+first degrees of the codimension-2 splits of one degree sum are sieved the
+same way: each condition on them (the residues mod the largest weight that
+the quasi-smoothness screen admits, the step, the remaining gcds) is a
+congruence, read from a table of residue-progression masks, and the bounds
+and linear cones clear bits; the set bits are the splits in ascending
+order.  The screen holds every weight to its one-variable clause, the
+largest in these masks and each smaller one per split: at `--dim 2 --codim
+2 --index 1 --max-weight 25` it hands the quasi-smoothness check 832
+splits, against 274,864 with no screen and 27,020 with the largest
+weight's clause alone, and at `--dim 2 --codim 1 --amplitude CalabiYau
+--max-weight 50` 95 degrees against 12,044.
 """
 
 from __future__ import annotations
@@ -134,38 +137,71 @@ _NONE, _ONE = frozenset(), frozenset({1})
 _EMPTY_TABLE = (_NONE, _NONE, _NONE, frozenset({0}))
 
 
-def _extend(table: tuple[frozenset, ...], x: int) -> tuple[frozenset, ...]:
+def _extend(table: tuple[frozenset, ...], x: int, coprime: bool = False
+            ) -> tuple[frozenset, ...]:
     """The gcd table of prefix + (x,) from the table of prefix.
 
     Entry i of the table of a prefix of length j is the set of gcds other
     than 1 of its (j - 3 + i)-subsets, i = 0..3 (empty below k = 0, {0} at
     k = 0).  A k-subset of prefix + (x,) either omits x or is a
-    (k - 1)-subset of prefix plus x."""
+    (k - 1)-subset of prefix plus x.  With `coprime` the caller knows that
+    prefix + (x,) is coprime, so entry 3 is empty and is not built."""
     t0, t1, t2, t3 = table
-    return (t1.union(map(gcd, t0, repeat(x))) - _ONE,
-            t2.union(map(gcd, t1, repeat(x))) - _ONE,
-            t3.union(map(gcd, t2, repeat(x))) - _ONE,
-            frozenset(map(gcd, t3, repeat(x))) - _ONE)
+    return ({*t1, *map(gcd, t0, repeat(x))} - _ONE,
+            {*t2, *map(gcd, t1, repeat(x))} - _ONE,
+            {*t3, *map(gcd, t2, repeat(x))} - _ONE,
+            _NONE if coprime else {*map(gcd, t3, repeat(x))} - _ONE)
 
 
 def _sorted_tuples(length: int, max_weight: int,
-                   prefixes: Optional[set[tuple[int, int]]] = None
+                   prefixes: Optional[set[tuple[int, int]]] = None,
+                   rows: Optional[_GcdRows] = None, gap: Optional[int] = None
                    ) -> Iterator[tuple[tuple[int, ...], tuple[frozenset, ...]]]:
     """The non-decreasing weight prefixes of the tuples of `length` >= 3,
     that is their first length - 1 weights, in lexicographic order, each with
     its gcd table: entry i holds the (length - 4 + i)-subset gcds other than
     1 of the prefix.  Depth first, so that only one table per level is alive;
     restricted to the (first, second) weight pairs in `prefixes`.  A prefix
-    stands for every tuple prefix + (x,), prefix[-1] <= x <= max_weight."""
+    stands for every tuple prefix + (x,), prefix[-1] <= x <= max_weight.
+
+    Without `rows` every prefix of the box is walked.  With the search's
+    gcd rows only the prefixes P = P' + (d,) that can have a well-formed
+    tuple are: from the table of P', with G its gcd (1 if entry 3 is
+    empty) and H its entry 2, the last weights d of P are sieved as one
+    bitmask, taken lowest first.  P is coprime, gcd(G, d) == 1, so its
+    entry 3 is empty.  With one degree sum, the weight sum less `gap`,
+    `_degree_splits` needs gcd(l2, u) == 1, u = sum(P') + d - gap and l2 =
+    lcm(G, gcd(h, d) for h in H); as G divides sum(P'), that is
+    gcd(G, d - gap) == 1 and, for each h, gcd(d, gcd(h, sum(P') - gap))
+    == 1."""
     depth = length - 1
+    full = (2 << max_weight) - 1
 
     def walk(prefix, table, low):
         if len(prefix) == depth:
             yield prefix, table
             return
-        for x in range(low, max_weight + 1):
-            if prefixes is None or len(prefix) != 1 or (prefix[0], x) in prefixes:
-                yield from walk(prefix + (x,), _extend(table, x), x)
+        if rows is None or len(prefix) < depth - 1:
+            for x in range(low, max_weight + 1):
+                if prefixes is None or len(prefix) != 1 or (prefix[0], x) in prefixes:
+                    yield from walk(prefix + (x,), _extend(table, x), x)
+            return
+        big = max(table[3], default=1)
+        coprime = rows[big, 1]
+        ds = coprime & full >> low << low
+        if gap is not None:
+            # gcd(G, d - gap) == gcd(G, d + G - gap % G), and d + G <= bound
+            ds &= coprime >> big - gap % big
+            v = sum(prefix) - gap
+            for h in table[2]:
+                if (c := gcd(h, v)) != 1:
+                    ds &= rows[c, 1]
+        while ds:
+            bit = ds & -ds
+            d = bit.bit_length() - 1
+            ds ^= bit
+            if prefixes is None or len(prefix) != 1 or (prefix[0], d) in prefixes:
+                yield prefix + (d,), _extend(table, d, True)
     return walk((), _EMPTY_TABLE, 1)
 
 
@@ -482,7 +518,9 @@ def iter_candidates(config: SearchConfig,
         return
     # no degree of a split exceeds the largest weight sum
     per = _Progressions(config.tuple_length * config.max_weight)
-    for prefix, table in _sorted_tuples(config.tuple_length, config.max_weight, prefixes):
+    walk = _sorted_tuples(config.tuple_length, config.max_weight, prefixes,
+                          per.divides, gaps[0] if gaps[0] == gaps[1] else None)
+    for prefix, table in walk:
         l2 = _ambient_well_formed(prefix, table)
         if not l2:
             continue

@@ -784,6 +784,22 @@ def test_enumerate_rejects_nonpositive_index(capsys, index):
     assert "index" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_enumerate_rejects_nonpositive_jobs(tmp_path, capsys, monkeypatch, jobs):
+    # a worker count below 1 is a usage error, refused before any search and
+    # before --out is written, not a serial run
+    def refuse(*args, **kwargs):
+        raise AssertionError("search started on refused input")
+    monkeypatch.setattr(cli.search, "run_search_parallel", refuse)
+    out = tmp_path / "f.jsonl"
+    code, msg, err = run(capsys, "enumerate", "--dim", "2", "--codim", "2",
+                         "--index", "1", "--max-weight", "5", "--jobs", jobs,
+                         "--out", str(out))
+    assert (code, msg) == (2, "")
+    assert err.startswith("error: ") and "--jobs" in err
+    assert not out.exists()
+
+
 def _oracle_sample():
     """Seeded analyze inputs: table rows, codimension 1-3, linear cones,
     ambients that are not well-formed and degrees below some weight."""

@@ -206,13 +206,16 @@ def test_sharded_equals_unsharded():
     assert sharded == serial
 
 
-@pytest.mark.parametrize("codim,options", [
-    (1, {"index_filter": 1}), (1, {"amplitude_filter": CALABI_YAU}),
-    (2, {"index_filter": 1}), (2, {"amplitude_filter": FANO})])
-def test_shards_concatenate_to_the_serial_list(codim, options):
+@pytest.mark.parametrize("dim,codim,max_weight,options", [
+    (2, 1, 14, {"index_filter": 1}), (2, 1, 14, {"amplitude_filter": CALABI_YAU}),
+    (2, 2, 7, {"index_filter": 1}), (2, 2, 7, {"amplitude_filter": FANO}),
+    (1, 1, 40, {"index_filter": 1}), (1, 1, 40, {"amplitude_filter": CALABI_YAU})])
+def test_shards_concatenate_to_the_serial_list(dim, codim, max_weight, options):
     # each shard walks its prefixes in the serial order, so merging the
-    # shard lists by the search's order gives the serial list itself
-    cfg = SearchConfig(dim=2, codim=codim, max_weight=14 if codim == 1 else 7, **options)
+    # shard lists by the search's order gives the serial list itself.  At
+    # dim 1, codim 1 the prefixes have two weights, so the shard filter and
+    # the walk's last-weight mask act on the same level
+    cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
     serial = [(d.weights, d.multidegree) for d in iter_candidates(cfg)]
 
     def order(key):
@@ -221,7 +224,18 @@ def test_shards_concatenate_to_the_serial_list(codim, options):
               for shard in partition(cfg, 3)]
     assert all(chunk == sorted(chunk, key=order) for chunk in shards)
     assert sorted((k for chunk in shards for k in chunk), key=order) == serial
-    assert len(serial) > 10
+    # the walk itself: the shards' sieved prefixes merge to the serial ones
+    per = search._Progressions(cfg.tuple_length * max_weight)
+    lo_gap, hi_gap = search._sum_gaps(cfg)
+
+    def walk(shard):
+        return [prefix for prefix, _ in search._sorted_tuples(
+            cfg.tuple_length, max_weight, shard, per.divides,
+            lo_gap if lo_gap == hi_gap else None)]
+    whole = walk(None)
+    assert sorted(p for shard in partition(cfg, 3) for p in walk(shard)) == whole
+    # the records of dim 1 are few: one curve of index 1, three elliptic ones
+    assert len(serial) > 10 if dim == 2 else serial and len(whole) > 50
 
 
 def literal_table(prefix):
@@ -396,6 +410,72 @@ def test_split_screen_counts(options, splits, passing):
     assert sum(quasi_smooth(ws, *degs, None) for ws, degs in got) == passing
 
 
+@pytest.mark.parametrize("options,whole,sieved,splits", [
+    pytest.param({"dim": 2, "codim": 2, "index_filter": 1, "max_weight": 25},
+                 20475, 13183, 832, id="closure-c2"),
+    pytest.param({"dim": 2, "codim": 1, "amplitude_filter": CALABI_YAU,
+                  "max_weight": 50}, 22100, 18195, 95, id="k3-c1")])
+def test_sieved_walk_counts(options, whole, sieved, splits):
+    # a gate on the walk's strength: the prefixes the search walks with its
+    # gcd rows, against the whole box, and the same splits handed on
+    cfg = SearchConfig(**options)
+    per = search._Progressions(cfg.tuple_length * cfg.max_weight)
+    gaps = search._sum_gaps(cfg)
+
+    def handed(walk):
+        return [(ws, degs) for prefix, table in walk
+                if (l2 := search._ambient_well_formed(prefix, table))
+                for ws, degs in search._degree_splits(cfg, prefix, table, l2, gaps, per)]
+    box = list(search._sorted_tuples(cfg.tuple_length, cfg.max_weight))
+    walk = list(search._sorted_tuples(cfg.tuple_length, cfg.max_weight, None,
+                                      per.divides, gaps[0]))
+    assert (len(box), len(walk)) == (whole, sieved)
+    got = handed(walk)
+    assert len(got) == splits and got == handed(box)
+
+
+@pytest.mark.parametrize("codim,sizes", [
+    pytest.param(1, ((1, 36), (2, 16), (3, 10)), id="codim1"),
+    pytest.param(2, ((1, 20), (2, 11), (3, 7)), id="codim2")])
+@pytest.mark.parametrize("options", [
+    pytest.param({}, id="unfiltered"),
+    pytest.param({"index_filter": 1}, id="index1"),
+    pytest.param({"index_filter": 2}, id="index2"),
+    pytest.param({"amplitude_filter": CALABI_YAU}, id="calabi-yau"),
+    pytest.param({"amplitude_filter": FANO}, id="fano")])
+def test_sieved_walk_keeps_exactly_the_prefixes_with_well_formed_tuples(
+        options, codim, sizes):
+    # with the gcd rows the walk yields, of every prefix of the box, those
+    # that are coprime and, with one degree sum s = sum(prefix) + x - gap,
+    # have gcd(l2, sum(prefix) - gap) == 1, each with its literal table; no
+    # prefix it drops has a tuple with an admissible split
+    dropped_coprime = dropped_step = 0
+    for dim, max_weight in sizes:
+        cfg = SearchConfig(dim=dim, codim=codim, max_weight=max_weight, **options)
+        lo_gap, hi_gap = search._sum_gaps(cfg)
+        gap = lo_gap if lo_gap == hi_gap else None
+        rows = search._Progressions(cfg.tuple_length * max_weight).divides
+        walked = list(search._sorted_tuples(cfg.tuple_length, max_weight, None, rows, gap))
+        kept = []
+        for prefix in combinations_with_replacement(range(1, max_weight + 1),
+                                                    cfg.tuple_length - 1):
+            l2 = math.lcm(*(math.gcd(*sub)
+                            for sub in combinations(prefix, len(prefix) - 1)))
+            if math.gcd(*prefix) != 1:
+                dropped_coprime += 1
+            elif gap is not None and math.gcd(l2, sum(prefix) - gap) != 1:
+                dropped_step += 1
+            else:
+                kept.append(prefix)
+                continue
+            assert not literal_prefix_splits(cfg, prefix), prefix
+        assert [prefix for prefix, _ in walked] == kept
+        for prefix, table in walked:
+            assert table == literal_table(prefix), prefix
+    assert dropped_coprime and bool(dropped_step) == ("index_filter" in options), \
+        (dropped_coprime, dropped_step)
+
+
 @pytest.mark.parametrize("codim,sizes", [
     pytest.param(1, ((1, 40), (2, 22), (3, 12)), id="codim1"),
     pytest.param(2, ((1, 24), (2, 14), (3, 8)), id="codim2")])
@@ -478,9 +558,11 @@ def test_divisor_rows_hold_the_divisors():
 
 @pytest.mark.parametrize("length,max_weight", [(3, 12), (5, 7), (7, 4)])
 def test_sorted_tuples_walks_the_whole_box(length, max_weight):
-    # one item per non-decreasing prefix of length - 1 weights (this is what
-    # the benchmark's search.tuples counter counts), and the prefixes times
-    # their last weights are the box, serially and over the shards
+    # called without the gcd rows: one item per non-decreasing prefix of
+    # length - 1 weights, and the prefixes times their last weights are the
+    # box, serially and over the shards.  The search passes its rows, so the
+    # benchmark's search.tuples counts the prefixes of the sieved walk
+    # instead (test_sieved_walk_counts)
     cfg = SearchConfig(dim=length - 2, codim=1, max_weight=max_weight)
     box = list(combinations_with_replacement(range(1, max_weight + 1), length))
     assert len(box) == math.comb(max_weight + length - 1, length)
