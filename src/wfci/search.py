@@ -165,15 +165,15 @@ def _sorted_tuples(length: int, max_weight: int,
     stands for every tuple prefix + (x,), prefix[-1] <= x <= max_weight.
 
     Without `rows` every prefix of the box is walked.  With the search's
-    gcd rows only the prefixes P = P' + (d,) that can have a well-formed
-    tuple are: from the table of P', with G its gcd (1 if entry 3 is
-    empty) and H its entry 2, the last weights d of P are sieved as one
-    bitmask, taken lowest first.  P is coprime, gcd(G, d) == 1, so its
-    entry 3 is empty.  With one degree sum, the weight sum less `gap`,
-    `_degree_splits` needs gcd(l2, u) == 1, u = sum(P') + d - gap and l2 =
-    lcm(G, gcd(h, d) for h in H); as G divides sum(P'), that is
-    gcd(G, d - gap) == 1 and, for each h, gcd(d, gcd(h, sum(P') - gap))
-    == 1."""
+    gcd rows, the last weights d of the prefixes P = P' + (d,) of one
+    parent P' are sieved as one bitmask, taken lowest first, from the table
+    of P': G is its gcd (1 if entry 3 is empty) and H its entry 2.  P must
+    be coprime, gcd(G, d) == 1, so its entry 3 is empty.  With one degree
+    sum per tuple, its weight sum less `gap`, `_degree_splits` also needs
+    gcd(l2, u) == 1, u = sum(P') + d - gap and l2 = lcm(G, gcd(h, d) for h
+    in H); as G divides sum(P'), that is gcd(G, d - gap) == 1 and, for each
+    h, gcd(d, gcd(h, sum(P') - gap)) == 1.  A prefix left out has no
+    well-formed tuple of an admissible degree sum."""
     depth = length - 1
     full = (2 << max_weight) - 1
 
