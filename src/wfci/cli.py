@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, search, tables
+from . import __version__, tables
 from .cylinder import NormalFormError, normal_form, verdict, wps_verdict
 from .poly import GradedPolynomial, generic_member
 from .wci import WciDescriptor, adjunction
@@ -252,6 +252,8 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # imported here, so that the other commands do not pay for compiling it
+    from . import search
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE

@@ -7,8 +7,8 @@ coordinates then exhibits an anti-canonically polar cylinder.  In codimension
 two the analogous double projection needs six distinct indices splitting both
 degrees over two pivots, and the pattern generalizes to codimension c with
 c + c^2 distinct indices; one pivot-partner search, `check_codimc_generalized`,
-finds these indices in every codimension.  Linear cones reduce to a smaller
-weighted space.
+finds these indices in every codimension, and one record, `Projection`,
+carries them.  Linear cones reduce to a smaller weighted space.
 
 Obstruction side: descriptors matching the embedded classification tables are
 certified non-cylindrical where the literature proves it (KKW24 Thm 4.7 for
@@ -67,87 +67,58 @@ class NormalFormError(ValueError):
 # certificates
 # ---------------------------------------------------------------------------
 
-def _recheck_projection(desc: WciDescriptor, pivots: tuple[int, ...],
-                        partners: tuple[tuple[int, ...], ...]) -> bool:
-    """The one pivot-partner recheck: c pivots, a row of c partners for each,
-    c + c^2 distinct indices of the weights, and a_{pivot_l} +
-    a_{partner_{l,j}} = d_j for every pivot l and degree j."""
-    ws, ds, c = desc.weights, desc.multidegree, desc.codim
-    if len(pivots) != c or len(partners) != c or any(len(row) != c for row in partners):
-        return False
-    used = set(pivots).union(*partners)
-    if len(used) != c + c * c or not all(0 <= k < len(ws) for k in used):
-        return False
-    return all(ws[pivots[l]] + ws[partners[l][j]] == ds[j]
-               for l in range(c) for j in range(c))
+class Projection(Record):
+    """The pivot-partner projection of codimension c: c pivots and, for each
+    pivot l and degree j, a partner with a_{pivot_l} + a_{partner_{l,j}} =
+    d_j, all c + c^2 indices distinct.  Its JSON kind names the case:
+    SumOfTwoWeights at c = 1, Codim2Projection at c = 2, CodimCGeneralized
+    at c >= 3."""
 
-
-class SumOfTwoWeights(Record):
-    def __init__(self, i: int, j: int):
-        setfield(self, "i", i)
-        setfield(self, "j", j)
-
-    def recheck(self, desc: WciDescriptor) -> bool:
-        return _recheck_projection(desc, (self.i,), ((self.j,),))
-
-    def to_json(self) -> dict:
-        return {"kind": "SumOfTwoWeights", "i": self.i, "j": self.j}
-
-
-class Codim2Projection(Record):
-    def __init__(self, pivot_a: int, pivot_b: int,
-                 partners_a: tuple[int, int],   # partner of pivot_a for d_1, d_2
-                 partners_b: tuple[int, int]):
-        setfield(self, "pivot_a", pivot_a)
-        setfield(self, "pivot_b", pivot_b)
-        setfield(self, "partners_a", partners_a)
-        setfield(self, "partners_b", partners_b)
-
-    def indices(self) -> tuple[int, ...]:
-        return (self.pivot_a, self.pivot_b) + self.partners_a + self.partners_b
-
-    def recheck(self, desc: WciDescriptor) -> bool:
-        return _recheck_projection(desc, (self.pivot_a, self.pivot_b),
-                                   (self.partners_a, self.partners_b))
-
-    def to_json(self) -> dict:
-        return {"kind": "Codim2Projection", "pivots": [self.pivot_a, self.pivot_b],
-                "partners": [list(self.partners_a), list(self.partners_b)]}
-
-
-class CodimCGeneralized(Record):
     def __init__(self, pivots: tuple[int, ...],              # c pivot indices
                  partners: tuple[tuple[int, ...], ...]):  # partners[l][j]: pivot l, degree j
         setfield(self, "pivots", pivots)
         setfield(self, "partners", partners)
 
     def recheck(self, desc: WciDescriptor) -> bool:
-        return _recheck_projection(desc, self.pivots, self.partners)
+        ws, ds, c = desc.weights, desc.multidegree, desc.codim
+        pivots, partners = self.pivots, self.partners
+        if len(pivots) != c or len(partners) != c or any(len(row) != c for row in partners):
+            return False
+        used = set(pivots).union(*partners)
+        if len(used) != c + c * c or not all(0 <= k < len(ws) for k in used):
+            return False
+        return all(ws[pivots[l]] + ws[partners[l][j]] == ds[j]
+                   for l in range(c) for j in range(c))
 
     def to_json(self) -> dict:
-        return {"kind": "CodimCGeneralized", "pivots": list(self.pivots),
-                "partners": [list(r) for r in self.partners]}
-
-
-class AlphaAtLeastOne(Record):
-    def __init__(self, citation: str):
-        setfield(self, "citation", citation)
-
-    def to_json(self) -> dict:
-        return {"kind": "AlphaAtLeastOne", "citation": self.citation}
+        c = len(self.pivots)
+        if c == 1:
+            return {"kind": "SumOfTwoWeights", "i": self.pivots[0],
+                    "j": self.partners[0][0]}
+        return {"kind": "Codim2Projection" if c == 2 else "CodimCGeneralized",
+                "pivots": list(self.pivots),
+                "partners": [list(row) for row in self.partners]}
 
 
 class TableNonCyl(Record):
-    def __init__(self, table_id: str, row_id: int, n: Optional[int],
-                 alpha: Optional[AlphaAtLeastOne] = None):
+    """A classification row whose statement is non-cylindricity: T1 rows by
+    KKW24, the codimension-2 rows by their alpha-invariant >= 1."""
+
+    def __init__(self, table_id: str, row_id: int, n: Optional[int]):
         setfield(self, "table_id", table_id)
         setfield(self, "row_id", row_id)
         setfield(self, "n", n)
-        setfield(self, "alpha", alpha)
+
+    def citations(self) -> tuple[str, ...]:
+        if self.table_id == "T1":
+            return (CIT_FAMILY4_NONCYL,) if self.row_id == 4 else (CIT_SERIES_NONCYL,)
+        return (CIT_ALPHA,)
 
     def to_json(self) -> dict:
+        alpha = (None if self.table_id == "T1"
+                 else {"kind": "AlphaAtLeastOne", "citation": CIT_ALPHA})
         return {"kind": "TableNonCyl", "table": self.table_id, "row": self.row_id,
-                "n": self.n, "alpha": self.alpha.to_json() if self.alpha else None}
+                "n": self.n, "alpha": alpha}
 
 
 class LinearCone(Record):
@@ -199,7 +170,7 @@ class CylinderVerdict(Record, uncompared=("table_hit",)):
 # constructive searches (deterministic: ascending scans, first witness)
 # ---------------------------------------------------------------------------
 
-def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]:
+def check_codimc_generalized(desc: WciDescriptor) -> Optional[Projection]:
     """Backtracking search for c pivots plus c^2 partners, all distinct, with
     d_j = a_{pivot_l} + a_{partner_{l,j}} for every degree j and pivot l.
     Pivot tuples are tried in ascending order and partners degree-major, so
@@ -236,7 +207,7 @@ def check_codimc_generalized(desc: WciDescriptor) -> Optional[CodimCGeneralized]
         if flat is not None:
             partners = tuple(tuple(flat[j * c + l] for j in range(c))
                              for l in range(c))
-            return CodimCGeneralized(pivots, partners)
+            return Projection(pivots, partners)
     return None
 
 
@@ -478,8 +449,8 @@ class HypersurfaceCylinder(Record):
 
 def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCylinder:
     """Chart data for the cylinder produced by a normal form on `desc`: the
-    explicit cylinder behind a `SumOfTwoWeights` certificate.  Library API;
-    no command builds it."""
+    explicit cylinder behind a codimension-1 `Projection` certificate.
+    Library API; no command builds it."""
     if desc.codim != 1:
         raise ValueError("chart construction needs codimension 1")
     u, v = nf.pair
@@ -526,14 +497,10 @@ def check_nonexistence(desc: WciDescriptor, hit=_LOOK_UP) -> Optional[TableNonCy
         return None
     tid, rid, n = hit
     if tid == "T1":
-        if rid == 4:
-            return TableNonCyl(tid, rid, n)
-        if n is not None and n > 2:
-            return TableNonCyl(tid, rid, n)
-        return None
-    if (tid, rid) in ALPHA_EXCEPTIONS:
-        return None
-    return TableNonCyl(tid, rid, n, AlphaAtLeastOne(CIT_ALPHA))
+        applies = rid == 4 or (n is not None and n > 2)
+    else:
+        applies = (tid, rid) not in ALPHA_EXCEPTIONS
+    return TableNonCyl(tid, rid, n) if applies else None
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +525,17 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     if cones:
         return _linear_cone_verdict(desc, cones[0], notes, flags, hit)
 
-    # one pivot-partner search serves every codimension; at c >= 3 qs is
-    # None, and a found assignment certifies nothing unconditionally
+    # one pivot-partner search and its record serve every codimension; at
+    # c >= 3 qs is None, and a found assignment certifies nothing
+    # unconditionally
     c = desc.codim
     status, cert, cites = UNKNOWN, None, ()
-    found = None
     if wf and qs is not False and (c > 1 or desc.ambient.n >= 3):
-        found = check_codimc_generalized(desc)
-    if found is not None and c == 1:
-        status, cites = CYLINDRICAL, (CIT_SUM_OF_TWO,)
-        cert = SumOfTwoWeights(found.pivots[0], found.partners[0][0])
-    elif found is not None and c == 2:
-        status, cites = CYLINDRICAL, (CIT_CODIM2,)
-        cert = Codim2Projection(*found.pivots, *found.partners)
-    elif found is not None:
-        cert, cites = found, (CIT_CODIMC,)
+        cert = check_codimc_generalized(desc)
+    if cert is not None and c <= 2:
+        status, cites = CYLINDRICAL, (CIT_SUM_OF_TWO if c == 1 else CIT_CODIM2,)
+    elif cert is not None:
+        cites = (CIT_CODIMC,)
         notes.append("multi-projection assignment found; cylindricity "
                      "follows if a general member is quasi-smooth, which "
                      "no criterion decides at codimension >= 3")
@@ -587,7 +550,7 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
             raise ClassificationInconsistency(
                 f"{desc}: constructive certificate {cert} contradicts "
                 f"table certificate {table_cert}")
-        status, cert, cites = NOT_CYLINDRICAL, table_cert, _table_citations(table_cert)
+        status, cert, cites = NOT_CYLINDRICAL, table_cert, table_cert.citations()
     elif hit is not None and wf and qs:
         # under the hypotheses check_nonexistence declines exactly the alpha
         # exceptions and the T1 rows other than 4 at n <= 2 (T1 has no
@@ -601,12 +564,6 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
         notes.append(CIT_CONJECTURE)
 
     return CylinderVerdict(status, cert, cites, conjectural, tuple(notes), flags, hit)
-
-
-def _table_citations(cert: TableNonCyl) -> tuple[str, ...]:
-    if cert.table_id == "T1":
-        return (CIT_FAMILY4_NONCYL,) if cert.row_id == 4 else (CIT_SERIES_NONCYL,)
-    return (CIT_ALPHA,)
 
 
 def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],

@@ -24,6 +24,7 @@ first monomial of that walk.
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +42,9 @@ from .record import Record, setfield
 # while it stays cached; by division to the square root, a discriminant near
 # 10^24 ran for over 20 s.
 RADICAND_CAP = 10**12
+
+# A coefficient string of polynomial.schema.json: an integer or a fraction.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 
 
 @lru_cache(maxsize=1024)
@@ -150,11 +154,25 @@ class Coeff(Record):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Coeff":
-        """ValueError for a radicand that is not square-free (0, 4, -4, 8, ...)."""
-        m = int(obj.get("radicand", 1))
+        """ValueError for a radicand that is not a square-free integer (0, 4,
+        -4, 8, ...) and for a coefficient string that is not an integer or a
+        fraction of nonzero denominator."""
+        m = obj.get("radicand", 1)
+        if type(m) is not int:
+            raise ValueError(f"radicand {m!r} is not an integer")
         if _squarefree_split(m) != (1, m):
             raise ValueError(f"radicand {m} is not square-free")
-        return cls(Fraction(obj.get("coeff", "0")), Fraction(obj.get("radical", "0")), m)
+        return cls(_rational(obj, "coeff"), _rational(obj, "radical"), m)
+
+
+def _rational(obj: Mapping, key: str) -> Fraction:
+    text = obj.get(key, "0")
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"{key} {text!r} is not an integer or a fraction")
+    if match[1] is not None and int(match[1]) == 0:
+        raise ValueError(f"{key} {text!r} has a zero denominator")
+    return Fraction(text)
 
 
 ZERO, ONE = Coeff(Fraction(0)), Coeff(Fraction(1))
@@ -272,8 +290,30 @@ class GradedPolynomial:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "GradedPolynomial":
-        terms = {tuple(t["exps"]): Coeff.from_json(t) for t in obj["terms"]}
-        return cls(obj["weights"], obj["degree"], terms)
+        """ValueError for what polynomial.schema.json refuses: weights that
+        are not at least two positive integers, a degree that is not a
+        non-negative integer, exponents that are not one non-negative integer
+        per weight, or a refused coefficient."""
+        weights, degree = obj["weights"], obj["degree"]
+        if not (_naturals(weights, 1) and len(weights) >= 2):
+            raise ValueError(f"weights {weights!r} are not at least two "
+                             "positive integers")
+        if not _naturals([degree], 0):
+            raise ValueError(f"degree {degree!r} is not a non-negative integer")
+        terms = {}
+        for t in obj["terms"]:
+            exps = t["exps"]
+            if not (_naturals(exps, 0) and len(exps) == len(weights)):
+                raise ValueError(f"exponents {exps!r} are not {len(weights)} "
+                                 "non-negative integers")
+            terms[tuple(exps)] = Coeff.from_json(t)
+        return cls(weights, degree, terms)
+
+
+def _naturals(values, least: int) -> bool:
+    """Whether `values` is a JSON array of integers >= least (no bool)."""
+    return (isinstance(values, list)
+            and all(type(v) is int and v >= least for v in values))
 
 
 class _Terms(Mapping):

@@ -1,6 +1,6 @@
 """Records: classes made of named fields, compared by value.
 
-wfci's 25 record types (descriptors, verdicts, certificates, traces) were
+wfci's 22 record types (descriptors, verdicts, certificates, traces) were
 dataclasses.  Decorating them cost about 11 ms at every start of a process,
 since each `@dataclass` execs six generated methods and a class without a
 docstring also runs `inspect.signature`; importing `dataclasses`, which

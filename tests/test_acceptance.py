@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from wfci import tables
-from wfci.cylinder import (CYLINDRICAL, NOT_CYLINDRICAL, SumOfTwoWeights,
+from wfci.cylinder import (CYLINDRICAL, NOT_CYLINDRICAL, Projection,
                            TableNonCyl, normal_form, replay_changes, verdict)
 from wfci.intarith import gcd_many, is_primitive, mat_det, unimodular_complete
 from wfci.poly import Coeff, generic_member
@@ -235,7 +235,7 @@ def test_criterion_7_known_points():
     c2 = normalize((1, 2, 2)).output.weights == (1, 1, 1)
 
     v = verdict(WciDescriptor.of((1, 1, 1, 1, 1), 2))
-    c3 = v.status == CYLINDRICAL and v.certificate == SumOfTwoWeights(0, 1)
+    c3 = v.status == CYLINDRICAL and v.certificate == Projection((0,), ((1,),))
 
     v = verdict(tables.instantiate("T1", 4, 3))
     c4 = v.status == NOT_CYLINDRICAL and v.certificate == TableNonCyl("T1", 4, 3)

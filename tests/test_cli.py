@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wfci import cli, poly, tables
+from wfci import cli, poly, search, tables
 from wfci.cli import main
 from wfci.poly import Coeff, GradedPolynomial, generic_member
 from wfci.wci import WciDescriptor, general_qs, linear_cone_flags, well_formed_ci
@@ -182,7 +182,7 @@ def test_enumerate_caps_exit_2_before_search(tmp_path, capsys, monkeypatch):
     # weights up to 100,000 holds 8e22 tuples: both are refused at once
     def refuse(*args, **kwargs):
         raise AssertionError("search started on refused input")
-    monkeypatch.setattr(cli.search, "run_search_parallel", refuse)
+    monkeypatch.setattr(search, "run_search_parallel", refuse)
     out = tmp_path / "f.jsonl"
     refusals = [
         (["--dim", "2", "--codim", "2", "--index", "1", "--max-weight", "100000"],
@@ -209,7 +209,7 @@ def test_enumerate_caps_admit_the_literature_runs(tmp_path, capsys, monkeypatch,
                                                   dim, codim, max_weight, filters):
     # k3-c1, the W = 100 K3 count and codim 2 at W = 50, with the filters
     # those runs use, stay inside the caps; the search itself is stubbed out
-    monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
+    monkeypatch.setattr(search, "run_search_parallel", lambda config, jobs: [])
     code, msg, _ = run(capsys, "enumerate", "--dim", str(dim), "--codim", str(codim),
                        "--max-weight", str(max_weight), *filters,
                        "--out", str(tmp_path / "f"))
@@ -219,7 +219,7 @@ def test_enumerate_caps_admit_the_literature_runs(tmp_path, capsys, monkeypatch,
 def test_enumerate_tuple_cap_boundary(tmp_path, capsys, monkeypatch):
     # the cap counts (weight tuple, degree sum) pairs: one sum per tuple
     # under --index, 5 * W + 1 sums per tuple of five weights without a filter
-    monkeypatch.setattr(cli.search, "run_search_parallel", lambda config, jobs: [])
+    monkeypatch.setattr(search, "run_search_parallel", lambda config, jobs: [])
     for filters, width in ((["--index", "1"], lambda w: 1),
                            ([], lambda w: 5 * w + 1)):
         top = max(w for w in range(1, 200)
@@ -425,11 +425,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
-    # each costs every process milliseconds at start (see wfci.record)
+    # each costs every process milliseconds at start (see wfci.record), and
+    # only enumerate needs wfci.search
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import wfci.cli; from wfci import tables; tables.load_rows(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'wfci.search'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n")
@@ -790,7 +791,7 @@ def test_enumerate_rejects_nonpositive_jobs(tmp_path, capsys, monkeypatch, jobs)
     # before --out is written, not a serial run
     def refuse(*args, **kwargs):
         raise AssertionError("search started on refused input")
-    monkeypatch.setattr(cli.search, "run_search_parallel", refuse)
+    monkeypatch.setattr(search, "run_search_parallel", refuse)
     out = tmp_path / "f.jsonl"
     code, msg, err = run(capsys, "enumerate", "--dim", "2", "--codim", "2",
                          "--index", "1", "--max-weight", "5", "--jobs", jobs,

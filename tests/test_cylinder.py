@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from wfci import tables
-from wfci.cylinder import (ClassificationInconsistency, CYLINDRICAL,
-                           CodimCGeneralized, Codim2Projection, LinearCone,
-                           NOT_CYLINDRICAL,
-                           NormalFormError, SumOfTwoWeights, TableNonCyl,
-                           UNKNOWN, check_codimc_generalized,
+from wfci.cylinder import (CIT_ALPHA, ClassificationInconsistency, CYLINDRICAL,
+                           LinearCone, NOT_CYLINDRICAL, NormalFormError,
+                           Projection, TableNonCyl, UNKNOWN,
+                           check_codimc_generalized,
                            check_nonexistence, cylinder_chart, normal_form,
                            replay_changes, verdict, wps_verdict)
 from wfci.poly import Coeff, GradedPolynomial, generic_member
@@ -53,34 +52,28 @@ def test_sum_of_two_weights_certificates_recheck():
         pair = _pair(dd)
         assert pair == literal_pair(ws, d), (ws, d)
         if pair is not None:
-            assert SumOfTwoWeights(*pair).recheck(dd)
+            assert Projection((pair[0],), ((pair[1],),)).recheck(dd)
 
 
 # --- codimension-2 projection ------------------------------------------------
 
-def _codim2(dd):
-    """The pair-search result as the certificate of codimension 2."""
-    cert = check_codimc_generalized(dd)
-    return None if cert is None else Codim2Projection(*cert.pivots, *cert.partners)
-
-
 def test_codim2_projection_example():
     d = desc((1, 1, 2, 2, 3, 3, 1), (4, 3))
-    cert = _codim2(d)
+    cert = check_codimc_generalized(d)
     assert cert is not None and cert.recheck(d)
-    assert len(set(cert.indices())) == 6
+    assert len({*cert.pivots, *cert.partners[0], *cert.partners[1]}) == 6
 
     # the scan finds pivots 0,1 with weight-2 partners for degree 3 and
     # weight-3 partners for degree 4 (weights re-sorted by the descriptor)
     assert d.weights == (1, 1, 1, 2, 2, 3, 3)
-    assert cert == Codim2Projection(0, 1, (3, 5), (4, 6))
+    assert cert == Projection((0, 1), ((3, 5), (4, 6)))
 
 
 def test_codim2_projection_surprise_presence():
     # degree 6 = 1+5 = 2+4 and degree 8 = 1+7 = 2+6: all six indices distinct
     d = desc((1, 2, 3, 4, 5, 6, 7), (6, 8))
-    cert = _codim2(d)
-    assert cert == Codim2Projection(0, 1, (4, 6), (3, 5))
+    cert = check_codimc_generalized(d)
+    assert cert == Projection((0, 1), ((4, 6), (3, 5)))
     assert cert.recheck(d)
 
 
@@ -91,8 +84,8 @@ def test_codim2_projection_arity_gate():
 def test_codim2_projection_remark_example():
     # with three weight-1 coordinates the 12 = 9+3 = 11+1 splittings fit
     d = desc((1, 1, 1, 3, 3, 9, 11), (12, 12))
-    cert = _codim2(d)
-    assert cert == Codim2Projection(5, 6, (3, 4), (0, 1))
+    cert = check_codimc_generalized(d)
+    assert cert == Projection((5, 6), ((3, 4), (0, 1)))
     assert cert.recheck(d)
     # with only two weight-1 coordinates the ambient is too small (n = 5)
     assert check_codimc_generalized(desc((1, 1, 3, 3, 9, 11), (12, 12))) is None
@@ -123,14 +116,13 @@ def test_codim2_projection_against_naive_six_tuple_scan():
         d1 = rng.randrange(2, 15)
         d2 = rng.randrange(d1, 15)
         dd = desc(ws, (d1, d2))
-        cert = _codim2(dd)
+        cert = check_codimc_generalized(dd)
         naive = _naive_codim2_scan(ws, d1, d2)
         assert (cert is None) == (naive is None), (ws, d1, d2)
         if cert is not None:
             # both scans are ascending-lex first-witness searches
-            assert (cert.pivot_a, cert.pivot_b, cert.partners_a[0],
-                    cert.partners_b[0], cert.partners_a[1],
-                    cert.partners_b[1]) == naive
+            (p, q), (pa, pb) = cert.pivots, cert.partners
+            assert (p, q, pa[0], pb[0], pa[1], pb[1]) == naive
         checked += 1
 
 
@@ -196,7 +188,7 @@ def test_codimc_generalized_matches_codim2():
             assert got is None
         else:
             i, j, i1, j1, i2, j2 = naive
-            assert got == CodimCGeneralized((i, j), ((i1, i2), (j1, j2)))
+            assert got == Projection((i, j), ((i1, i2), (j1, j2)))
             assert got.recheck(dd)
         checked += 1
 
@@ -227,7 +219,7 @@ def test_codimc_generalized_matches_literal_codim3_oracle():
             assert got is None
         else:
             hits += 1
-            assert got == CodimCGeneralized(*literal)
+            assert got == Projection(*literal)
             assert got.recheck(dd)
     assert hits >= 60
 
@@ -235,7 +227,7 @@ def test_codimc_generalized_matches_literal_codim3_oracle():
 def test_codimc_generalized_c3_golden():
     d = desc((1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5), (5, 6, 7))
     cert = check_codimc_generalized(d)
-    assert cert == CodimCGeneralized(
+    assert cert == Projection(
         pivots=(3, 9, 10),
         partners=((6, 11, 12), (0, 4, 7), (1, 5, 8)))
     assert cert.recheck(d)
@@ -409,9 +401,10 @@ def test_cylinder_chart_polar_identity_random():
 def test_check_nonexistence_examples():
     cert = check_nonexistence(desc((1, 7, 12, 18), 36))
     assert cert == TableNonCyl("T1", 4, 2)
+    assert cert.to_json()["alpha"] is None
     cert = check_nonexistence(desc((1, 2, 2, 3, 3), (4, 6)))
     assert cert is not None and (cert.table_id, cert.row_id) == ("T2", 1)
-    assert cert.alpha is not None
+    assert cert.to_json()["alpha"] == {"kind": "AlphaAtLeastOne", "citation": CIT_ALPHA}
     assert check_nonexistence(desc((1, 1, 2, 2, 3), (4, 4))) is None      # T3 row 1
     assert check_nonexistence(desc((1, 2, 3, 4, 5), (6, 8))) is None      # T2 row 2
     # series rows below n = 3 carry no statement (except family 4)
@@ -423,7 +416,7 @@ def test_check_nonexistence_examples():
 
 def test_verdict_spot_checks():
     v = verdict(desc((1, 1, 1, 1, 1), 2))
-    assert v.status == CYLINDRICAL and v.certificate == SumOfTwoWeights(0, 1)
+    assert v.status == CYLINDRICAL and v.certificate == Projection((0,), ((1,),))
 
     v = verdict(desc((1, 13, 22, 33), 66))     # family 4 at n = 3
     assert v.status == NOT_CYLINDRICAL
@@ -475,53 +468,78 @@ def test_verdict_disjointness_over_all_tables():
                 assert hit[0] == "T1" and hit[2] is not None and hit[2] <= 2, d
 
 
+def _projections(d, cert):
+    """The projection certificates in `cert`, each with the descriptor it
+    certifies: a linear cone's inner certificate with its target."""
+    if isinstance(cert, LinearCone):
+        if not cert.target_degrees:
+            return []
+        return _projections(desc(cert.target_weights, cert.target_degrees), cert.inner)
+    return [(cert, d)] if isinstance(cert, Projection) else []
+
+
 def test_verdict_certificates_recheck():
     rng = random.Random(606)
+    sample = []
     for _ in range(150):
         ws = tuple(sorted(rng.randrange(1, 13) for _ in range(rng.randrange(4, 7))))
         c = rng.choice([1, 2])
         if c >= len(ws) - 1:
             continue
-        ds = tuple(sorted(rng.randrange(2, 25) for _ in range(c)))
-        d = desc(ws, ds)
+        sample.append(desc(ws, tuple(sorted(rng.randrange(2, 25) for _ in range(c)))))
+    seen = set()
+    for d in sample + _verdict_golden_sample():
         v = verdict(d)
-        cert = v.certificate
-        if v.status == CYLINDRICAL and hasattr(cert, "recheck"):
-            assert cert.recheck(d)
+        for cert, target in _projections(d, v.certificate):
+            assert cert.recheck(target), (d, cert)
+            seen.add((target.codim, v.status, isinstance(v.certificate, LinearCone)))
+    # every status a projection is emitted under, inside linear cones too
+    assert {(1, CYLINDRICAL, False), (2, CYLINDRICAL, False), (3, UNKNOWN, False),
+            (1, CYLINDRICAL, True), (2, CYLINDRICAL, True)} <= seen
+
+
+def test_verdict_emits_the_search_result_unconverted():
+    found = {1: 0, 2: 0}
+    for d in _verdict_golden_sample():
+        v = verdict(d)
+        if v.status == CYLINDRICAL and d.codim <= 2 and not v.flags["linear_cones"]:
+            assert v.certificate == check_codimc_generalized(d), d
+            found[d.codim] += 1
+    assert found == {1: 90, 2: 12}
 
 
 _C3 = desc((1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 6), (5, 5, 7))
-_C3_CERT = CodimCGeneralized((0, 6, 9), ((10, 11, 13), (3, 4, 12), (1, 2, 7)))
+_C3_CERT = Projection((0, 6, 9), ((10, 11, 13), (3, 4, 12), (1, 2, 7)))
 
 # (certificate, descriptor) pairs that are right, then wrong ones made from
 # them: a partner replaced by a non-partner, a repeated index (with every sum
 # still right), a pivot or partner tuple of the wrong length, an index out of
 # range, and a descriptor of another codimension
 RIGHT_CERTIFICATES = [
-    (SumOfTwoWeights(0, 3), desc((1, 1, 2, 3), 4)),
-    (SumOfTwoWeights(2, 3), desc((1, 1, 2, 2), 4)),
-    (Codim2Projection(0, 1, (4, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Projection((0,), ((3,),)), desc((1, 1, 2, 3), 4)),
+    (Projection((2,), ((3,),)), desc((1, 1, 2, 2), 4)),
+    (Projection((0, 1), ((4, 6), (3, 5))), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
     (_C3_CERT, _C3),
 ]
 WRONG_CERTIFICATES = [
-    (SumOfTwoWeights(0, 2), desc((1, 1, 2, 3), 4)),
-    (SumOfTwoWeights(2, 2), desc((1, 1, 2, 2), 4)),
-    (SumOfTwoWeights(-1, 0), desc((1, 1, 2, 3), 4)),
-    (SumOfTwoWeights(0, 4), desc((1, 1, 2, 3), 4)),
-    (SumOfTwoWeights(2, 3), desc((1, 1, 2, 2, 3), (4, 4))),
-    (Codim2Projection(0, 1, (2, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
-    (Codim2Projection(0, 1, (4, 4), (3, 3)), desc((1, 2, 3, 4, 5, 6, 7), (6, 6))),
-    (Codim2Projection(0, 1, (4,), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
-    (Codim2Projection(0, 1, (4, 6, 2), (3, 5, 2)), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
-    (Codim2Projection(0, 1, (4, 6), (3, 5)), desc((1, 2, 3, 4, 5, 6, 7), (6,))),
-    (Codim2Projection(0, 1, (4, 6), (3, 5)), _C3),
-    (CodimCGeneralized((0, 6, 9), ((8, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
-    (CodimCGeneralized((0, 6, 9), ((11, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
-    (CodimCGeneralized((0, 6), ((10, 11, 13), (3, 4, 12))), _C3),
-    (CodimCGeneralized((0, 6, 9, 5), _C3_CERT.partners), _C3),
-    (CodimCGeneralized((0, 6, 9), ((10, 11), (3, 4), (1, 2))), _C3),
+    (Projection((0,), ((2,),)), desc((1, 1, 2, 3), 4)),
+    (Projection((2,), ((2,),)), desc((1, 1, 2, 2), 4)),
+    (Projection((-1,), ((0,),)), desc((1, 1, 2, 3), 4)),
+    (Projection((0,), ((4,),)), desc((1, 1, 2, 3), 4)),
+    (Projection((2,), ((3,),)), desc((1, 1, 2, 2, 3), (4, 4))),
+    (Projection((0, 1), ((2, 6), (3, 5))), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Projection((0, 1), ((4, 4), (3, 3))), desc((1, 2, 3, 4, 5, 6, 7), (6, 6))),
+    (Projection((0, 1), ((4,), (3, 5))), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Projection((0, 1), ((4, 6, 2), (3, 5, 2))), desc((1, 2, 3, 4, 5, 6, 7), (6, 8))),
+    (Projection((0, 1), ((4, 6), (3, 5))), desc((1, 2, 3, 4, 5, 6, 7), (6,))),
+    (Projection((0, 1), ((4, 6), (3, 5))), _C3),
+    (Projection((0, 6, 9), ((8, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
+    (Projection((0, 6, 9), ((11, 11, 13), (3, 4, 12), (1, 2, 7))), _C3),
+    (Projection((0, 6), ((10, 11, 13), (3, 4, 12))), _C3),
+    (Projection((0, 6, 9, 5), _C3_CERT.partners), _C3),
+    (Projection((0, 6, 9), ((10, 11), (3, 4), (1, 2))), _C3),
     (_C3_CERT, desc(_C3.weights, (5, 5))),
-    (CodimCGeneralized((0,), ((3,),)), _C3),
+    (Projection((0,), ((3,),)), _C3),
 ]
 
 
@@ -553,7 +571,7 @@ def test_verdict_codim3_is_conditional():
     d = desc((1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 6), (5, 5, 7))
     v = verdict(d)
     assert v.status == UNKNOWN
-    assert v.certificate == CodimCGeneralized(
+    assert v.certificate == Projection(
         pivots=(0, 6, 9), partners=((10, 11, 13), (3, 4, 12), (1, 2, 7)))
     assert v.certificate.recheck(d)
     assert any("codimension >= 3" in note for note in v.notes)

@@ -28,13 +28,35 @@ TEN_AT_VALUE_CAP = ",".join(str(cli.MAX_VALUE - k) for k in range(9, -1, -1))
 TWELVE_AROUND_VALUE_CAP = ",".join(str(cli.MAX_VALUE + k) for k in range(-6, 6))
 THREE_HUNDRED_ONES = ",".join(["1"] * 300)
 OUT = "OUT"   # replaced by a path under the test's own directory
+
+
+def _conic(cross, square=([0, 0, 2], "1")):
+    """x0*x1 + x2^2 over weights (1, 1, 1), with the cross term's fields and
+    the second term's exponents and coefficient given."""
+    return {"weights": [1, 1, 1], "degree": 2,
+            "terms": [{"exps": [1, 1, 0], **cross},
+                      {"exps": square[0], "coeff": square[1]}]}
+
+
 # input files, each written under the test's own directory and replaced by
 # its path: x0^2 + x0*x1 + (10^24 + 7)*x1^2 + x2*x3, whose discriminant
-# -(4*10^24 + 27) once took its square root by trial division for over 20 s
-INPUTS = {"large-discriminant.json": {"weights": [1, 1, 1, 1], "degree": 2, "terms": [
-    {"exps": exps, "coeff": coeff} for exps, coeff in (
-        ([2, 0, 0, 0], "1"), ([1, 1, 0, 0], "1"), ([0, 2, 0, 0], str(10**24 + 7)),
-        ([0, 0, 1, 1], "1"))]}}
+# -(4*10^24 + 27) once took its square root by trial division for over 20 s;
+# then polynomials off polynomial.schema.json, which once gave a traceback,
+# ran until killed, or were read as another polynomial
+INPUTS = {
+    "large-discriminant.json": {"weights": [1, 1, 1, 1], "degree": 2, "terms": [
+        {"exps": exps, "coeff": coeff} for exps, coeff in (
+            ([2, 0, 0, 0], "1"), ([1, 1, 0, 0], "1"), ([0, 2, 0, 0], str(10**24 + 7)),
+            ([0, 0, 1, 1], "1"))]},
+    "zero-denominator.json": _conic({"coeff": "1/0"}),
+    "zero-denominator-radical.json": _conic({"coeff": "1", "radical": "1/0",
+                                             "radicand": 2}),
+    "exponent-notation.json": _conic({"coeff": "1e999999999"}),
+    # weighted degree 3 - 1 = 2, so the degree check passes
+    "negative-exponent.json": _conic({"coeff": "1"}, ([3, -1, 0], "1")),
+    "float-exponent.json": {"weights": [1, 1], "degree": 2,
+                            "terms": [{"exps": [1.7, 1], "coeff": "1"}]},
+}
 
 # (argv, exit code, error line or None, CPU seconds, address space in MB)
 CASES = [
@@ -65,6 +87,25 @@ CASES = [
     (["normal-form", "large-discriminant.json", "--pair", "0,1"],
      2, "error: radicand of magnitude above 1000000000000 refused",
      10, 512),                                                 # 0.05 s, 20 MB
+    # polynomial JSON off its schema: a zero denominator once raised
+    # ZeroDivisionError, "1e999999999" built a billion-digit integer until
+    # killed, a negative exponent failed an assertion, and [1.7, 1] was read
+    # as [1, 1]
+    (["normal-form", "zero-denominator.json", "--pair", "0,1"],
+     2, "error: malformed polynomial JSON: coeff '1/0' has a zero denominator",
+     10, 512),                                                 # 0.1 s, 30 MB
+    (["normal-form", "zero-denominator-radical.json", "--pair", "0,1"],
+     2, "error: malformed polynomial JSON: radical '1/0' has a zero denominator",
+     10, 512),                                                 # 0.1 s, 30 MB
+    (["normal-form", "exponent-notation.json", "--pair", "0,1"],
+     2, "error: malformed polynomial JSON: coeff '1e999999999' is not an "
+        "integer or a fraction", 10, 512),                     # 0.1 s, 30 MB
+    (["normal-form", "negative-exponent.json", "--pair", "0,1"],
+     2, "error: malformed polynomial JSON: exponents [3, -1, 0] are not 3 "
+        "non-negative integers", 10, 512),                     # 0.1 s, 30 MB
+    (["normal-form", "float-exponent.json", "--pair", "0,1"],
+     2, "error: malformed polynomial JSON: exponents [1.7, 1] are not 2 "
+        "non-negative integers", 10, 512),                     # 0.1 s, 30 MB
     # a 186,643-term member inside the monomial cap, refused only by the
     # substitution cap after it is built
     (["normal-form", "--weights", "1,1,1,1,47,47", "--pair", "4,5"],

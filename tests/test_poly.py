@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -512,3 +513,45 @@ def test_json_round_trip():
         (0, 0, 2): Coeff(Fraction(1), Fraction(-2), 7),
     })
     assert GradedPolynomial.from_json(p.to_json()) == p
+
+
+def _json_conic(**changes):
+    doc = {"weights": [1, 1, 1], "degree": 2,
+           "terms": [{"exps": [1, 1, 0], "coeff": "-3/4"},
+                     {"exps": [0, 0, 2], "coeff": "1"}]}
+    doc.update(changes)
+    return doc
+
+
+def _json_term(**fields):
+    return _json_conic(terms=[{"exps": [1, 1, 0], "coeff": "1", **fields}])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_json_conic(weights=[1, True, 1]), "weights [1, True, 1] are not"),
+    (_json_conic(weights=[1, 0, 1]), "weights [1, 0, 1] are not"),
+    (_json_conic(weights=[2]), "weights [2] are not"),
+    (_json_conic(weights="111"), "weights '111' are not"),
+    (_json_conic(degree=2.0), "degree 2.0 is not"),
+    (_json_conic(degree=-2), "degree -2 is not"),
+    (_json_term(exps=[1, 1]), "exponents [1, 1] are not 3"),
+    (_json_term(exps=[1, 1, False]), "exponents [1, 1, False] are not 3"),
+    (_json_term(exps=[2, 0.0, 0]), "exponents [2, 0.0, 0] are not 3"),
+    (_json_term(coeff=1), "coeff 1 is not an integer or a fraction"),
+    (_json_term(coeff=" 1"), "coeff ' 1' is not an integer or a fraction"),
+    (_json_term(coeff="1.5"), "coeff '1.5' is not an integer or a fraction"),
+    (_json_term(coeff="\u0661"), "coeff '\u0661' is not an integer or a fraction"),
+    (_json_term(coeff="3/00"), "coeff '3/00' has a zero denominator"),
+    (_json_term(radical="2/-3", radicand=2), "radical '2/-3' is not"),
+    (_json_term(radical="1", radicand=2.0), "radicand 2.0 is not an integer"),
+])
+def test_from_json_refuses_what_the_schema_refuses(doc, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        GradedPolynomial.from_json(doc)
+
+
+def test_from_json_reads_what_the_schema_allows():
+    p = GradedPolynomial.from_json(_json_conic())
+    assert p.coefficient((1, 1, 0)) == Coeff(Fraction(-3, 4))
+    q = GradedPolynomial.from_json(_json_term(coeff="-0", radical="6/4", radicand=-7))
+    assert q.coefficient((1, 1, 0)) == Coeff(Fraction(0), Fraction(3, 2), -7)

@@ -8,10 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from wfci.cylinder import (AlphaAtLeastOne, ChangeOp, Codim2Projection,
-                           CodimCGeneralized, CylinderVerdict, HypersurfaceCylinder,
-                           LinearCone, NormalFormResult, SumOfTwoWeights,
-                           TableNonCyl)
+from wfci.cylinder import (ChangeOp, CylinderVerdict, HypersurfaceCylinder,
+                           LinearCone, NormalFormResult, Projection, TableNonCyl)
 from wfci.poly import Coeff, GradedPolynomial
 from wfci.search import CandidateRecord, SearchConfig
 from wfci.tables import FamilyRow, VerifyReport, Violation
@@ -36,10 +34,16 @@ def _trace():
 
 
 def _verdict():
-    return CylinderVerdict("Cylindrical", SumOfTwoWeights(0, 3), ("cite",), True,
+    return CylinderVerdict("Cylindrical", Projection((0,), ((3,),)), ("cite",), True,
                            ("note",), {"linear_cone": False}, ("T1", 4, 2))
 
 
+# Projection, one sample per JSON kind it emits (c = 1, 2, 3)
+PROJECTIONS = {
+    "SumOfTwoWeights": lambda: Projection((1,), ((3,),)),
+    "Codim2Projection": lambda: Projection((0, 1), ((2, 3), (4, 5))),
+    "CodimCGeneralized": lambda: Projection((0, 1, 2), ((3, 4, 5), (6, 7, 8), (9, 10, 11))),
+}
 # One sample per record class; each call builds a new, equal instance.
 SAMPLES = {
     WeightVector: lambda: WeightVector((3, 1, 2)),
@@ -59,13 +63,10 @@ SAMPLES = {
     FamilyRow: lambda: FamilyRow("T1", 4, (0, 1), (1, 2), (2,), (3,), "k=1"),
     Violation: lambda: Violation("T1", 11, 3, "ambient not well-formed"),
     VerifyReport: lambda: VerifyReport(5, (Violation("T2", 1, None, "reason"),)),
-    SumOfTwoWeights: lambda: SumOfTwoWeights(1, 3),
-    Codim2Projection: lambda: Codim2Projection(0, 1, (2, 3), (4, 5)),
-    CodimCGeneralized: lambda: CodimCGeneralized((0, 1), ((2, 3), (4, 5))),
-    AlphaAtLeastOne: lambda: AlphaAtLeastOne("cite"),
-    TableNonCyl: lambda: TableNonCyl("T2", 7, None, AlphaAtLeastOne("cite")),
+    Projection: PROJECTIONS["Codim2Projection"],
+    TableNonCyl: lambda: TableNonCyl("T2", 7, None),
     WpsChart: lambda: WpsChart(_trace(), _chart(), ((0, F(3, 2)), (1, F(3, 2)))),
-    LinearCone: lambda: LinearCone(0, 3, (1, 1, 2), (2,), SumOfTwoWeights(0, 1)),
+    LinearCone: lambda: LinearCone(0, 3, (1, 1, 2), (2,), Projection((0,), ((1,),))),
     CylinderVerdict: _verdict,
     ChangeOp: lambda: ChangeOp("substitute", 2, _poly(), Coeff(F(-1))),
     NormalFormResult: lambda: NormalFormResult(
@@ -77,7 +78,18 @@ SAMPLES = {
 HOLDS_DICT = {CylinderVerdict, CandidateRecord}
 # classes in wfci modules that are not records
 NOT_RECORDS = {"GradedPolynomial", "_Terms", "_ReportEncoder", "_Progressions", "_GcdRows"}
-RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
+# (class, sample) per case, named by the class, and Projection's by JSON kind
+CASES = {**{cls.__name__: (cls, make) for cls, make in SAMPLES.items()
+            if cls is not Projection},
+         **{kind: (Projection, make) for kind, make in PROJECTIONS.items()}}
+RECORDS = sorted(CASES.items())
+
+
+def each_case(exclude=()):
+    """Parametrize over the cases (cls, make) whose class is not in `exclude`."""
+    cases = [(name, case) for name, case in RECORDS if case[0] not in exclude]
+    return pytest.mark.parametrize("cls, make", [case for _, case in cases],
+                                   ids=[name for name, _ in cases])
 
 
 def _fields(cls):
@@ -92,12 +104,23 @@ def test_samples_cover_every_record_class():
                   if isinstance(cls, type) and cls.__module__ == module.__name__
                   and not issubclass(cls, Exception) and cls.__name__ not in NOT_RECORDS}
     assert found == set(SAMPLES)
-    assert len(found) == 25
+    assert len(found) == 22
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_equal_fields_compare_and_hash_equal(cls):
-    a, b = SAMPLES[cls](), SAMPLES[cls]()
+@pytest.mark.parametrize("kind", PROJECTIONS)
+def test_projection_json_kind_follows_the_codimension(kind):
+    p = PROJECTIONS[kind]()
+    assert len(p.pivots) == {"SumOfTwoWeights": 1, "Codim2Projection": 2}.get(kind, 3)
+    if kind == "SumOfTwoWeights":
+        assert p.to_json() == {"kind": kind, "i": 1, "j": 3}
+    else:
+        assert p.to_json() == {"kind": kind, "pivots": list(p.pivots),
+                               "partners": [list(row) for row in p.partners]}
+
+
+@each_case()
+def test_equal_fields_compare_and_hash_equal(cls, make):
+    a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert tuple(vars(a)) == _fields(cls)
     assert a.__eq__(object()) is NotImplemented and a != (a,)
@@ -105,12 +128,9 @@ def test_equal_fields_compare_and_hash_equal(cls):
         assert hash(a) == hash(b) == hash(tuple(vars(a).values()))
 
 
-@pytest.mark.parametrize("cls", sorted(set(SAMPLES) - {WeightVector, WciDescriptor,
-                                                       Coeff, SearchConfig},
-                                       key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
-def test_each_field_takes_part_in_equality(cls):
-    a = SAMPLES[cls]()
+@each_case(exclude={WeightVector, WciDescriptor, Coeff, SearchConfig})
+def test_each_field_takes_part_in_equality(cls, make):
+    a = make()
     for name in _fields(cls):
         if name == "table_hit":
             continue
@@ -129,9 +149,9 @@ def test_verdicts_differing_only_in_table_hit_are_equal():
     assert CylinderVerdict("Unknown", None).flags is not CylinderVerdict("Unknown", None).flags
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_frozen_records_refuse_assignment_and_deletion(cls):
-    a = SAMPLES[cls]()
+@each_case()
+def test_frozen_records_refuse_assignment_and_deletion(cls, make):
+    a = make()
     before = dict(vars(a))
     for name in _fields(cls) + ("extra",):
         with pytest.raises(AttributeError):
@@ -142,9 +162,9 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
     assert vars(a) == before
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_repr_names_every_field(cls):
-    a = SAMPLES[cls]()
+@each_case()
+def test_repr_names_every_field(cls, make):
+    a = make()
     fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in _fields(cls))
     assert repr(a) == f"{cls.__qualname__}({fields})"
 
@@ -157,9 +177,9 @@ def test_repr_examples():
         "Violation(table_id='T1', row_id=3, n=None, reason='r')"
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_pickle_round_trips(cls):
-    a = SAMPLES[cls]()
+@each_case()
+def test_pickle_round_trips(cls, make):
+    a = make()
     b = pickle.loads(pickle.dumps(a))
     assert type(b) is cls and b == a and vars(b) == vars(a)
     with pytest.raises(AttributeError):
