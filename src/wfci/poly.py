@@ -156,17 +156,17 @@ class Coeff(Record):
     def from_json(cls, obj: Mapping) -> "Coeff":
         """ValueError for a radicand that is not a square-free integer (0, 4,
         -4, 8, ...) and for a coefficient string that is not an integer or a
-        fraction of nonzero denominator."""
+        fraction of nonzero denominator; KeyError without a "coeff"."""
         m = obj.get("radicand", 1)
         if type(m) is not int:
             raise ValueError(f"radicand {m!r} is not an integer")
         if _squarefree_split(m) != (1, m):
             raise ValueError(f"radicand {m} is not square-free")
-        return cls(_rational(obj, "coeff"), _rational(obj, "radical"), m)
+        return cls(_rational(obj["coeff"], "coeff"),
+                   _rational(obj.get("radical", "0"), "radical"), m)
 
 
-def _rational(obj: Mapping, key: str) -> Fraction:
-    text = obj.get(key, "0")
+def _rational(text, key: str) -> Fraction:
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"{key} {text!r} is not an integer or a fraction")

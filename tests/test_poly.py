@@ -550,6 +550,14 @@ def test_from_json_refuses_what_the_schema_refuses(doc, message):
         GradedPolynomial.from_json(doc)
 
 
+def test_from_json_needs_a_coefficient_per_term():
+    # a term without "coeff" was once read as a zero term and dropped
+    doc = _json_conic()
+    del doc["terms"][1]["coeff"]
+    with pytest.raises(KeyError):
+        GradedPolynomial.from_json(doc)
+
+
 def test_from_json_reads_what_the_schema_allows():
     p = GradedPolynomial.from_json(_json_conic())
     assert p.coefficient((1, 1, 0)) == Coeff(Fraction(-3, 4))

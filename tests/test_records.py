@@ -107,13 +107,11 @@ def test_samples_cover_every_record_class():
     assert len(found) == 22
 
 
-@pytest.mark.parametrize("kind", PROJECTIONS)
-def test_projection_json_kind_follows_the_codimension(kind):
-    p = PROJECTIONS[kind]()
-    assert len(p.pivots) == {"SumOfTwoWeights": 1, "Codim2Projection": 2}.get(kind, 3)
-    if kind == "SumOfTwoWeights":
-        assert p.to_json() == {"kind": kind, "i": 1, "j": 3}
-    else:
+def test_projection_json_kind_follows_the_codimension():
+    assert PROJECTIONS["SumOfTwoWeights"]().to_json() == \
+        {"kind": "SumOfTwoWeights", "i": 1, "j": 3}
+    for kind in ("Codim2Projection", "CodimCGeneralized"):
+        p = PROJECTIONS[kind]()
         assert p.to_json() == {"kind": kind, "pivots": list(p.pivots),
                                "partners": [list(row) for row in p.partners]}
 
