@@ -109,11 +109,6 @@ class TableNonCyl(Record):
         setfield(self, "row_id", row_id)
         setfield(self, "n", n)
 
-    def citations(self) -> tuple[str, ...]:
-        if self.table_id == "T1":
-            return (CIT_FAMILY4_NONCYL,) if self.row_id == 4 else (CIT_SERIES_NONCYL,)
-        return (CIT_ALPHA,)
-
     def to_json(self) -> dict:
         alpha = (None if self.table_id == "T1"
                  else {"kind": "AlphaAtLeastOne", "citation": CIT_ALPHA})
@@ -139,21 +134,47 @@ class LinearCone(Record):
                 "inner": self.inner.to_json() if self.inner is not None else None}
 
 
+def standing(cert: Optional[object]) -> tuple[str, tuple[str, ...]]:
+    """The status a certificate settles and the statements it cites: the one
+    rule that a verdict's status and citations follow."""
+    if cert is None:
+        return UNKNOWN, ()
+    kind = type(cert)
+    if kind is Projection:   # settles codimension 1 and 2, only predicts beyond
+        c = len(cert.pivots)
+        cite = CIT_SUM_OF_TWO if c == 1 else CIT_CODIM2 if c == 2 else CIT_CODIMC
+        return CYLINDRICAL if c <= 2 else UNKNOWN, (cite,)
+    if kind is TableNonCyl:
+        cite = CIT_FAMILY4_NONCYL if cert.row_id == 4 else CIT_SERIES_NONCYL
+        return NOT_CYLINDRICAL, (cite if cert.table_id == "T1" else CIT_ALPHA,)
+    if kind is wps.WpsChart:
+        return CYLINDRICAL, (CIT_WPS_CHART,)
+    if kind is LinearCone:   # the target's status, its statements only if they decide
+        status, cites = standing(cert.inner)
+        return status, (CIT_LINEAR_CONE,) + (cites if status != UNKNOWN else ())
+    raise TypeError(f"{kind.__name__} is not a certificate")
+
+
 class CylinderVerdict(Record, uncompared=("table_hit",)):
-    def __init__(self, status: str, certificate: Optional[object],
-                 citations: tuple[str, ...] = (),
+    def __init__(self, certificate: Optional[object],
                  conjectural_prediction: Optional[bool] = None,
                  notes: tuple[str, ...] = (), flags: Optional[dict] = None,
                  table_hit: Optional[tuple[str, int, Optional[int]]] = None):
-        setfield(self, "status", status)
         setfield(self, "certificate", certificate)
-        setfield(self, "citations", citations)
         setfield(self, "conjectural_prediction", conjectural_prediction)
         setfield(self, "notes", notes)
         setfield(self, "flags", {} if flags is None else flags)
         # tables.match of the descriptor judged, for callers that report it;
         # not part of the verdict's JSON nor of its equality
         setfield(self, "table_hit", table_hit)
+
+    @property
+    def status(self) -> str:
+        return standing(self.certificate)[0]
+
+    @property
+    def citations(self) -> tuple[str, ...]:
+        return standing(self.certificate)[1]
 
     def to_json(self) -> dict:
         return {
@@ -246,14 +267,19 @@ class NormalFormResult(Record):
                  requested_pair: tuple[int, int],
                  change_sequence: tuple[ChangeOp, ...],
                  result: GradedPolynomial,     # x_i x_j + G, cross coefficient 1
-                 remainder: GradedPolynomial,  # G, free of both pivot variables
                  extension_used: Optional[int] = None):  # radicand when a square root was adjoined
         setfield(self, "pair", pair)
         setfield(self, "requested_pair", requested_pair)
         setfield(self, "change_sequence", change_sequence)
         setfield(self, "result", result)
-        setfield(self, "remainder", remainder)
         setfield(self, "extension_used", extension_used)
+
+    @property
+    def remainder(self) -> GradedPolynomial:
+        """G, free of both pivot variables: the result without its cross term."""
+        r, cross = self.result, _unit_exp(self.result.nvars, *self.pair)
+        return GradedPolynomial._over(r.weights, r.degree, r.D,
+                                      {e: t for e, t in r.table.items() if e != cross})
 
     def to_json(self) -> dict:
         return {"pair": list(self.pair),
@@ -330,7 +356,7 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     if F.weights[i] + F.weights[j] != F.degree:
         raise ValueError("pair weights do not sum to the degree")
 
-    w, d = F.weights, F.degree
+    w = F.weights
     P = F   # the polynomial after the changes made so far
     # the input's field is Q(sqrt(m)) for the one m of its irrational terms
     radicands = F.radicands()
@@ -403,12 +429,11 @@ def normal_form(F: GradedPolynomial, pair: tuple[int, int]) -> NormalFormResult:
     sub_op(u, P.quotient(v, lambda e: e[v] == 1 and e != cross_exp))
     sub_op(v, P.quotient(u, lambda e: e[v] == 0))
 
-    remainder = P - GradedPolynomial(w, d, {cross_exp: ONE})
-    if remainder.involves(u) or remainder.involves(v):
+    if P.table.get(cross_exp) != (P.D, 0, 1) or any(
+            e[u] or e[v] for e in P.table if e != cross_exp):
         raise AssertionError("normal form postcondition failed")
     final_pair = (min(u, v), max(u, v))
-    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), P,
-                            remainder, adjoined)
+    return NormalFormResult(final_pair, (min(i, j), max(i, j)), tuple(ops), P, adjoined)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +447,12 @@ class HypersurfaceCylinder(Record):
     the cylinder.  The polar divisor lives on the original hyperplane classes
     and sums to the anti-canonical degree."""
 
-    def __init__(self, pair: tuple[int, int], kept_index: int, dropped_index: int,
+    def __init__(self, pair: tuple[int, int],            # (kept, dropped)
                  projected_weights: tuple[int, ...],     # original order, dropped removed
                  chart: ChartDescription,                # on the well-formed projection
                  complement: tuple[int, ...],            # original indices of the support
                  polar: tuple[tuple[int, Fraction], ...]):  # (original index, multiplicity)
         setfield(self, "pair", pair)
-        setfield(self, "kept_index", kept_index)
-        setfield(self, "dropped_index", dropped_index)
         setfield(self, "projected_weights", projected_weights)
         setfield(self, "chart", chart)
         setfield(self, "complement", complement)
@@ -438,7 +461,7 @@ class HypersurfaceCylinder(Record):
     def to_json(self) -> dict:
         chart = self.chart
         return {"kind": "SumOfTwoWeightsChart", "pair": list(self.pair),
-                "kept": self.kept_index, "dropped": self.dropped_index,
+                "kept": self.pair[0], "dropped": self.pair[1],
                 "projected_weights": list(self.projected_weights),
                 "reduced_weights": list(chart.weights),
                 "chart_subset": list(chart.chart_subset),
@@ -453,8 +476,7 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
     Library API; no command builds it."""
     if desc.codim != 1:
         raise ValueError("chart construction needs codimension 1")
-    u, v = nf.pair
-    kept, dropped = u, v
+    kept, dropped = nf.pair
     ws = desc.weights
     proj = tuple(a for k, a in enumerate(ws) if k != dropped)
     to_original = [k for k in range(len(ws)) if k != dropped]
@@ -470,7 +492,7 @@ def cylinder_chart(desc: WciDescriptor, nf: NormalFormResult) -> HypersurfaceCyl
     complement = tuple(to_original[p] for p in subset)
     index = desc.ambient.total() - desc.multidegree[0]   # anti-canonical degree
     polar = wps.even_polar_split(index, ws, complement)
-    return HypersurfaceCylinder(nf.pair, kept, dropped, proj, chart, complement, polar)
+    return HypersurfaceCylinder(nf.pair, proj, chart, complement, polar)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +551,10 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     # c >= 3 qs is None, and a found assignment certifies nothing
     # unconditionally
     c = desc.codim
-    status, cert, cites = UNKNOWN, None, ()
+    cert = None
     if wf and qs is not False and (c > 1 or desc.ambient.n >= 3):
         cert = check_codimc_generalized(desc)
-    if cert is not None and c <= 2:
-        status, cites = CYLINDRICAL, (CIT_SUM_OF_TWO if c == 1 else CIT_CODIM2,)
-    elif cert is not None:
-        cites = (CIT_CODIMC,)
+    if cert is not None and c > 2:
         notes.append("multi-projection assignment found; cylindricity "
                      "follows if a general member is quasi-smooth, which "
                      "no criterion decides at codimension >= 3")
@@ -546,11 +565,11 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
                      "hypotheses fail; no non-cylindricity asserted")
         table_cert = None
     if table_cert is not None:
-        if status == CYLINDRICAL:
+        if standing(cert)[0] == CYLINDRICAL:
             raise ClassificationInconsistency(
                 f"{desc}: constructive certificate {cert} contradicts "
                 f"table certificate {table_cert}")
-        status, cert, cites = NOT_CYLINDRICAL, table_cert, table_cert.citations()
+        cert = table_cert
     elif hit is not None and wf and qs:
         # under the hypotheses check_nonexistence declines exactly the alpha
         # exceptions and the T1 rows other than 4 at n <= 2 (T1 has no
@@ -560,10 +579,10 @@ def verdict(desc: WciDescriptor) -> CylinderVerdict:
     conjectural = None
     if c == 1 and desc.ambient.n == 3 and wf and qs \
             and adjunction(desc).amplitude == FANO:
-        conjectural = status == CYLINDRICAL
+        conjectural = standing(cert)[0] == CYLINDRICAL
         notes.append(CIT_CONJECTURE)
 
-    return CylinderVerdict(status, cert, cites, conjectural, tuple(notes), flags, hit)
+    return CylinderVerdict(cert, conjectural, tuple(notes), flags, hit)
 
 
 def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
@@ -579,18 +598,15 @@ def _linear_cone_verdict(desc: WciDescriptor, flag: tuple[int, int],
     notes.append(f"linear cone: degree {desc.multidegree[j]} matches weight "
                  f"index {i}; reduces to weights {ws}, degrees {ds or '()'}")
     inner = verdict(WciDescriptor.of(ws, ds)) if ds else wps_verdict(ws)
-    cert = LinearCone(j, i, ws, ds, inner.certificate)
     notes.extend(inner.notes)
-    cites = (CIT_LINEAR_CONE,) + inner.citations
     if inner.status == UNKNOWN:
-        # an undecided target's citations certify nothing here
         notes.append("reduction target undecided")
-        cites = (CIT_LINEAR_CONE,)
-    return CylinderVerdict(inner.status, cert, cites, None, tuple(notes), flags, hit)
+    return CylinderVerdict(LinearCone(j, i, ws, ds, inner.certificate), None,
+                           tuple(notes), flags, hit)
 
 
 def wps_verdict(w) -> CylinderVerdict:
     """Verdict for a weighted projective space itself: always cylindrical."""
-    return CylinderVerdict(CYLINDRICAL, wps_cylinder(w), (CIT_WPS_CHART,), None, (),
+    return CylinderVerdict(wps_cylinder(w), None, (),
                            {"ambient_well_formed": True, "well_formed": True,
                             "quasi_smooth": True, "linear_cones": []})

@@ -531,17 +531,16 @@ def monomials_of_degree(weights: Sequence[int], d: int) -> Iterator[tuple]:
 GENERIC_TERM_CAP = 200_000
 
 
-def generic_member(weights: Sequence[int], d: int, seed: int,
-                   cap: int = GENERIC_TERM_CAP) -> GradedPolynomial:
+def generic_member(weights: Sequence[int], d: int, seed: int) -> GradedPolynomial:
     """A pseudo-generic member of the degree-d linear system: every monomial
     of weighted degree d appears, with a nonzero rational coefficient drawn
-    deterministically from the seed.  More than `cap` monomials raise
-    ValueError after at most cap + 1 of them, before any coefficient."""
+    deterministically from the seed.  Over GENERIC_TERM_CAP monomials raise
+    ValueError after at most one more of them, before any coefficient."""
     if d < 1:
         raise ValueError("degree must be positive")
-    monomials = list(islice(monomials_of_degree(weights, d), cap + 1))
-    if len(monomials) > cap:
-        raise ValueError(f"monomial count exceeds cap {cap}")
+    monomials = list(islice(monomials_of_degree(weights, d), GENERIC_TERM_CAP + 1))
+    if len(monomials) > GENERIC_TERM_CAP:
+        raise ValueError(f"monomial count exceeds cap {GENERIC_TERM_CAP}")
     rng = random.Random((seed, tuple(weights), d).__repr__())
     # each coefficient num/den has den in 1..4, so all lie over 12
     table = {}

@@ -9,13 +9,14 @@ was 15 of the 67 ms that importing `wfci.cli` and loading the tables took
 (2-vCPU x86-64, CPython 3.11.7, no bytecode cache).  `Record` gives the same
 methods, built once in this module, without generating code.
 
-A record's fields are the parameters of its `__init__`, in order.  The
-`__init__` validates and normalizes its arguments, then sets each field once
-with `setfield`, since a record refuses assignment.  Like the frozen
-dataclass it replaces, a record equals another of the same class whose
-fields, but those named `uncompared`, are equal; hashes the tuple of those
-fields; prints as `Name(field=value, ...)`; and pickles through its
-`__dict__`.
+A record's fields are the parameters of its `__init__`, in order.  A value
+that other fields determine is a property, not a field, so that no record
+can disagree with itself.  The `__init__` validates and normalizes its
+arguments, then sets each field once with `setfield`, since a record refuses
+assignment.  Like the frozen dataclass it replaces, a record equals another
+of the same class whose fields, but those named `uncompared`, are equal;
+hashes the tuple of those fields; prints as `Name(field=value, ...)`; and
+pickles through its `__dict__`.
 """
 
 from operator import attrgetter

@@ -205,11 +205,12 @@ def _sorted_tuples(length: int, max_weight: int,
     return walk((), _EMPTY_TABLE, 1)
 
 
-def _ambient_well_formed(prefix: tuple[int, ...], table: tuple[frozenset, ...]) -> int:
-    """l2, the lcm of the (len(prefix) - 1)-subset gcds of the prefix, or 0
-    when the prefix itself is not coprime.  Every len(prefix) weights of
-    prefix + (x,) are coprime exactly when l2 is nonzero and gcd(l2, x) == 1:
-    the prefix is, and every (len(prefix) - 1)-subset gcd is coprime to x."""
+def _ambient_well_formed(table: tuple[frozenset, ...]) -> int:
+    """l2, the lcm of the (len(prefix) - 1)-subset gcds of the prefix whose
+    gcd table is `table`, or 0 when the prefix itself is not coprime.  Every
+    len(prefix) weights of prefix + (x,) are coprime exactly when l2 is nonzero
+    and gcd(l2, x) == 1: the prefix is, and every (len(prefix) - 1)-subset gcd
+    is coprime to x."""
     return 0 if table[3] else lcm(*table[2])
 
 
@@ -521,7 +522,7 @@ def iter_candidates(config: SearchConfig,
     walk = _sorted_tuples(config.tuple_length, config.max_weight, prefixes,
                           per.divides, gaps[0] if gaps[0] == gaps[1] else None)
     for prefix, table in walk:
-        l2 = _ambient_well_formed(prefix, table)
+        l2 = _ambient_well_formed(table)
         if not l2:
             continue
         last = None
@@ -532,11 +533,10 @@ def iter_candidates(config: SearchConfig,
                 yield WciDescriptor.of(ws, degs)
 
 
-def run_search(config: SearchConfig,
-               prefixes: Optional[set[tuple[int, int]]] = None) -> list[CandidateRecord]:
+def run_search(config: SearchConfig) -> list[CandidateRecord]:
     """Materialize candidate records (descriptor + verdict + table match)."""
     return [CandidateRecord(desc, cylinder.verdict(desc))
-            for desc in iter_candidates(config, prefixes)]
+            for desc in iter_candidates(config)]
 
 
 def partition(config: SearchConfig, shard_count: int) -> list[set[tuple[int, int]]]:

@@ -186,7 +186,7 @@ def verify_all(n_max: int) -> VerifyReport:
     for row in load_rows():
         params = [1] if row.sporadic else list(range(1, n_max + 1))
         for n in params:
-            desc = instantiate(row.table_id, row.row_id, n)
+            desc = WciDescriptor.of(row.weights_at(n), row.degrees_at(n))
             checked += 1
 
             def bad(reason: str):

@@ -144,20 +144,21 @@ GENERAL_TYPE = "GeneralType"
 class AdjunctionData(Record):
     """Canonical class data: K = O(sum d_j - sum a_i) restricted to the member."""
 
-    def __init__(self, canonical_coefficient: int, amplitude: str,
-                 fano_index: Optional[int]):
+    def __init__(self, canonical_coefficient: int):
         setfield(self, "canonical_coefficient", canonical_coefficient)
-        setfield(self, "amplitude", amplitude)
-        setfield(self, "fano_index", fano_index)
+
+    @property
+    def amplitude(self) -> str:
+        k = self.canonical_coefficient
+        return FANO if k < 0 else CALABI_YAU if k == 0 else GENERAL_TYPE
+
+    @property
+    def fano_index(self) -> Optional[int]:   # -k when -K = O(-k) is ample
+        return -self.canonical_coefficient if self.canonical_coefficient < 0 else None
 
 
 def adjunction(desc: WciDescriptor) -> AdjunctionData:
-    k = sum(desc.multidegree) - desc.ambient.total()
-    if k < 0:
-        return AdjunctionData(k, FANO, -k)
-    if k == 0:
-        return AdjunctionData(k, CALABI_YAU, None)
-    return AdjunctionData(k, GENERAL_TYPE, None)
+    return AdjunctionData(sum(desc.multidegree) - desc.ambient.total())
 
 
 def intersection_number(desc: WciDescriptor, divisor_degrees: Sequence[int]) -> Fraction:

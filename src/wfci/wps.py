@@ -67,14 +67,16 @@ class NormalizationTrace(Record):
     def __init__(self, input: WeightVector, common_factor_removed: int,
                  divisors: tuple[int, ...],      # d_i
                  multipliers: tuple[int, ...],   # e_i
-                 reduced: tuple[int, ...],       # b_i = a_i / e_i, in input (sorted) order
-                 output: WeightVector):
+                 reduced: tuple[int, ...]):      # b_i = a_i / e_i, in input (sorted) order
         setfield(self, "input", input)
         setfield(self, "common_factor_removed", common_factor_removed)
         setfield(self, "divisors", divisors)
         setfield(self, "multipliers", multipliers)
         setfield(self, "reduced", reduced)
-        setfield(self, "output", output)
+
+    @property
+    def output(self) -> WeightVector:   # the well-formed space
+        return WeightVector(self.reduced)
 
 
 def is_well_formed(w) -> bool:
@@ -95,9 +97,8 @@ def normalize(w) -> NormalizationTrace:
         if v % e:
             raise AssertionError("reduction multiplier does not divide weight")
         reduced.append(v // e)
-    out = WeightVector.of(reduced)
-    trace = NormalizationTrace(w, g, divisors, multipliers, tuple(reduced), out)
-    assert is_well_formed(out)
+    trace = NormalizationTrace(w, g, divisors, multipliers, tuple(reduced))
+    assert is_well_formed(trace.output)
     return trace
 
 
@@ -149,29 +150,31 @@ class ChartDescription(Record):
     """
 
     def __init__(self, weights: tuple[int, ...], chart_subset: tuple[int, ...],
-                 exponent_matrix: tuple[tuple[int, ...], ...], torus_rank: int,
-                 affine_rank: int):
+                 exponent_matrix: tuple[tuple[int, ...], ...]):
         setfield(self, "weights", weights)
         setfield(self, "chart_subset", chart_subset)
         setfield(self, "exponent_matrix", exponent_matrix)
-        setfield(self, "torus_rank", torus_rank)
-        setfield(self, "affine_rank", affine_rank)
+
+    @property
+    def torus_rank(self) -> int:   # m
+        return len(self.chart_subset) - 1
+
+    @property
+    def affine_rank(self) -> int:  # n - m
+        return len(self.weights) - len(self.chart_subset)
 
 
 def torus_chart(w, subset) -> ChartDescription:
     """Chart description over an index subset whose weights are coprime."""
     ws = tuple(int(a) for a in w)
-    n = len(ws) - 1
     idx = tuple(sorted(set(subset)))
-    if not idx or any(i < 0 or i > n for i in idx):
+    if not idx or any(i < 0 or i >= len(ws) for i in idx):
         raise ValueError("bad index subset")
     sel = tuple(ws[i] for i in idx)
     g, coeffs = bezout(sel)
     if g != 1:
         raise ValueError("subset weights not coprime")
-    matrix = unimodular_complete(coeffs)
-    m = len(idx) - 1
-    return ChartDescription(ws, idx, matrix, m, n - m)
+    return ChartDescription(ws, idx, unimodular_complete(coeffs))
 
 
 def chart_relation_holds(chart: ChartDescription) -> bool:
@@ -246,8 +249,7 @@ def wps_cylinder(w) -> WpsChart:
     trace = normalize(w)
     ws = trace.output.weights
     idx = _first_coprime_subset(ws)
-    return WpsChart(trace, torus_chart(trace.output, idx),
-                    even_polar_split(sum(ws), ws, idx))
+    return WpsChart(trace, torus_chart(ws, idx), even_polar_split(sum(ws), ws, idx))
 
 
 def even_polar_split(degree: int, ws, subset) -> tuple[tuple[int, Fraction], ...]:

@@ -348,9 +348,7 @@ def test_normal_form_refuses_nonpositive_weights(capsys):
 def test_normal_form_term_cap_exits_2(capsys, monkeypatch):
     # the real cap (200,000 terms) takes seconds to reach; a cap of 10 refuses
     # the 15 quadrics in five variables the same way
-    real = poly.generic_member
-    monkeypatch.setattr(cli, "generic_member",
-                        lambda ws, d, seed: real(ws, d, seed, cap=10))
+    monkeypatch.setattr(poly, "GENERIC_TERM_CAP", 10)
     code, out, err = run(capsys, "normal-form", "--weights", "1,1,1,1,1", "--pair", "0,1")
     assert (code, out) == (2, "")
     assert err == "error: monomial count exceeds cap 10\n"

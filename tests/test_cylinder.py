@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 
 from wfci import tables
-from wfci.cylinder import (CIT_ALPHA, ClassificationInconsistency, CYLINDRICAL,
-                           LinearCone, NOT_CYLINDRICAL, NormalFormError,
-                           Projection, TableNonCyl, UNKNOWN,
+from wfci.cylinder import (CIT_ALPHA, CIT_CODIM2, CIT_CODIMC, CIT_FAMILY4_NONCYL,
+                           CIT_LINEAR_CONE, CIT_SERIES_NONCYL, CIT_SUM_OF_TWO,
+                           CIT_WPS_CHART, ClassificationInconsistency, CYLINDRICAL,
+                           CylinderVerdict, LinearCone, NOT_CYLINDRICAL,
+                           NormalFormError, Projection, TableNonCyl, UNKNOWN,
                            check_codimc_generalized,
                            check_nonexistence, cylinder_chart, normal_form,
-                           replay_changes, verdict, wps_verdict)
+                           replay_changes, standing, verdict, wps_verdict)
 from wfci.poly import Coeff, GradedPolynomial, generic_member
-from wfci.wci import WciDescriptor
-from wfci.wps import WpsChart
+from wfci.wci import (CALABI_YAU, FANO, GENERAL_TYPE, AdjunctionData,
+                      WciDescriptor)
+from wfci.wps import WpsChart, wps_cylinder
 
 from oracles import literal_codim3_assignment, literal_pair, literal_replay
 
@@ -154,8 +157,7 @@ def test_verdict_carries_its_table_hit(monkeypatch):
     assert cone.table_hit == ("T9", 5, None) and len(seen) == 2
     # the hit is not serialized and does not take part in equality
     assert "table_hit" not in json.dumps(cone.to_json())
-    assert cone == cyl_mod.CylinderVerdict(cone.status, cone.certificate,
-                                           cone.citations, None, cone.notes,
+    assert cone == cyl_mod.CylinderVerdict(cone.certificate, None, cone.notes,
                                            cone.flags)
 
 
@@ -370,7 +372,8 @@ def test_cylinder_chart_degree4_del_pezzo():
     nf = normal_form(generic_member((1, 1, 2, 3), 4, seed=5), (0, 3))
     cyl = cylinder_chart(d, nf)
     assert cyl.projected_weights == (1, 1, 2)
-    assert cyl.dropped_index == 3 and cyl.kept_index == 0
+    assert cyl.pair == (0, 3)
+    assert (cyl.to_json()["kept"], cyl.to_json()["dropped"]) == (0, 3)
     index = 7 - 4
     assert sum(c * d.weights[i] for i, c in cyl.polar) == index
     assert all(c > 0 for _, c in cyl.polar)
@@ -432,6 +435,64 @@ def test_verdict_spot_checks():
     v = verdict(desc((1, 1, 1, 2), 2))          # linear cone over P^2
     assert v.status == CYLINDRICAL
     assert v.certificate.to_json()["kind"] == "LinearCone"
+
+
+# --- the standing of a certificate ----------------------------------------------
+
+C3 = Projection((0, 1, 2), ((3, 4, 5), (6, 7, 8), (9, 10, 11)))
+STANDINGS = {
+    "none": (None, UNKNOWN, ()),
+    "projection-c1": (Projection((0,), ((3,),)), CYLINDRICAL, (CIT_SUM_OF_TWO,)),
+    "projection-c2": (Projection((0, 1), ((2, 3), (4, 5))), CYLINDRICAL, (CIT_CODIM2,)),
+    "projection-c3": (C3, UNKNOWN, (CIT_CODIMC,)),
+    "t1-row-4": (TableNonCyl("T1", 4, 1), NOT_CYLINDRICAL, (CIT_FAMILY4_NONCYL,)),
+    "t1-series": (TableNonCyl("T1", 7, 3), NOT_CYLINDRICAL, (CIT_SERIES_NONCYL,)),
+    "t2": (TableNonCyl("T2", 7, None), NOT_CYLINDRICAL, (CIT_ALPHA,)),
+    "t3": (TableNonCyl("T3", 2, 4), NOT_CYLINDRICAL, (CIT_ALPHA,)),
+    "wps-chart": (wps_cylinder((1, 2, 3)), CYLINDRICAL, (CIT_WPS_CHART,)),
+    "cone-over-chart": (LinearCone(0, 3, (1, 1, 2), (), wps_cylinder((1, 1, 2))),
+                        CYLINDRICAL, (CIT_LINEAR_CONE, CIT_WPS_CHART)),
+    "cone-over-table": (LinearCone(0, 0, (1, 7, 12, 18), (36,), TableNonCyl("T1", 4, 2)),
+                        NOT_CYLINDRICAL, (CIT_LINEAR_CONE, CIT_FAMILY4_NONCYL)),
+    "cone-over-undecided": (LinearCone(0, 0, (1,) * 12, (2, 2, 2), None), UNKNOWN,
+                            (CIT_LINEAR_CONE,)),
+    "cone-over-c3": (LinearCone(0, 12, (1,) * 12, (2, 2, 2), C3), UNKNOWN,
+                     (CIT_LINEAR_CONE,)),
+    "cone-over-cone": (LinearCone(0, 0, (1, 1, 1, 2), (2,),
+                                  LinearCone(0, 0, (1, 1, 2), (), wps_cylinder((1, 1, 2)))),
+                       CYLINDRICAL, (CIT_LINEAR_CONE, CIT_LINEAR_CONE, CIT_WPS_CHART)),
+}
+
+
+@pytest.mark.parametrize("cert, status, citations", STANDINGS.values(), ids=STANDINGS)
+def test_a_verdict_stands_as_its_certificate(cert, status, citations):
+    assert standing(cert) == (status, citations)
+    v = CylinderVerdict(cert)
+    assert (v.status, v.citations) == (status, citations)
+    assert (v.to_json()["status"], v.to_json()["citations"]) == (status, list(citations))
+
+
+def test_a_certificate_of_no_known_kind_is_refused():
+    for cert in (object(), "Cylindrical", verdict(desc((1, 1, 1, 1, 1), 2))):
+        with pytest.raises(TypeError):
+            standing(cert)
+        with pytest.raises(TypeError):
+            CylinderVerdict(cert).status
+    with pytest.raises(TypeError):
+        standing(LinearCone(0, 0, (1, 1, 2), (), object()))
+
+
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_adjunction_data_follows_from_the_canonical_coefficient(k):
+    a = AdjunctionData(k)
+    assert a.canonical_coefficient == k
+    if k < 0:
+        assert (a.amplitude, a.fano_index) == (FANO, -k)
+    elif k == 0:
+        assert (a.amplitude, a.fano_index) == (CALABI_YAU, None)
+    else:
+        assert (a.amplitude, a.fano_index) == (GENERAL_TYPE, None)
+    assert a == AdjunctionData(k) and vars(a) == {"canonical_coefficient": k}
 
 
 def test_verdict_conjectural_flag_for_del_pezzo_hypersurfaces():

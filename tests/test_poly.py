@@ -288,8 +288,9 @@ def test_generic_member_counts_and_determinism(monkeypatch):
         raise AssertionError("coefficient drawn")
 
     monkeypatch.setattr(random, "Random", no_coefficients)
+    monkeypatch.setattr(poly, "GENERIC_TERM_CAP", 10)
     with pytest.raises(ValueError, match="monomial count exceeds cap 10"):
-        generic_member((1, 1, 1, 1), 40, seed=1, cap=10)
+        generic_member((1, 1, 1, 1), 40, seed=1)
 
 
 def test_generic_member_cap_stops_the_walk(monkeypatch):
@@ -307,8 +308,9 @@ def test_generic_member_cap_stops_the_walk(monkeypatch):
 
     monkeypatch.setattr(poly, "monomials_of_degree", counting)
     monkeypatch.setattr(random, "Random", no_coefficients)
+    monkeypatch.setattr(poly, "GENERIC_TERM_CAP", 10)
     with pytest.raises(ValueError, match="^monomial count exceeds cap 10$"):
-        generic_member((1, 1, 1, 1), 40, seed=1, cap=10)
+        generic_member((1, 1, 1, 1), 40, seed=1)
     assert 0 < len(taken) <= 11
 
 

@@ -25,17 +25,16 @@ def _poly():
 
 
 def _chart():
-    return ChartDescription((1, 2, 3), (0,), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0, 2)
+    return ChartDescription((1, 2, 3), (0,), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def _trace():
-    return NormalizationTrace(WeightVector((2, 4, 6)), 2, (1, 1, 1), (1, 1, 1),
-                              (1, 2, 3), WeightVector((1, 2, 3)))
+    return NormalizationTrace(WeightVector((2, 4, 6)), 2, (1, 1, 1), (1, 1, 1), (1, 2, 3))
 
 
 def _verdict():
-    return CylinderVerdict("Cylindrical", Projection((0,), ((3,),)), ("cite",), True,
-                           ("note",), {"linear_cone": False}, ("T1", 4, 2))
+    return CylinderVerdict(Projection((0,), ((3,),)), True, ("note",),
+                           {"linear_cone": False}, ("T1", 4, 2))
 
 
 # Projection, one sample per JSON kind it emits (c = 1, 2, 3)
@@ -55,7 +54,7 @@ SAMPLES = {
                                          ((3, (1, 0, 0, 1)),)),
     QsVerdict: lambda: QsVerdict(False, (SubsetWitness((0,), "pure", ((6, 0, 0, 0),)),),
                                  (2, 3)),
-    AdjunctionData: lambda: AdjunctionData(-1, "Fano", 1),
+    AdjunctionData: lambda: AdjunctionData(-1),
     Coeff: lambda: Coeff(F(1, 2), F(3), 5),
     SearchConfig: lambda: SearchConfig(2, 1, 9, 1, "Fano", False),
     CandidateRecord: lambda: CandidateRecord(WciDescriptor(WeightVector((1, 1, 2, 3)), (6,)),
@@ -70,8 +69,8 @@ SAMPLES = {
     CylinderVerdict: _verdict,
     ChangeOp: lambda: ChangeOp("substitute", 2, _poly(), Coeff(F(-1))),
     NormalFormResult: lambda: NormalFormResult(
-        (0, 1), (1, 0), (ChangeOp("scale", factor=Coeff(F(2))),), _poly(), _poly(), 5),
-    HypersurfaceCylinder: lambda: HypersurfaceCylinder((0, 3), 0, 3, (1, 2, 3), _chart(),
+        (0, 1), (1, 0), (ChangeOp("scale", factor=Coeff(F(2))),), _poly(), 5),
+    HypersurfaceCylinder: lambda: HypersurfaceCylinder((0, 3), (1, 2, 3), _chart(),
                                                        (0,), ((0, F(6)),)),
 }
 # CylinderVerdict holds a dict of flags, CandidateRecord such a verdict
@@ -138,13 +137,13 @@ def test_each_field_takes_part_in_equality(cls, make):
 
 def test_verdicts_differing_only_in_table_hit_are_equal():
     a = _verdict()
-    b = CylinderVerdict(a.status, a.certificate, a.citations,
-                        a.conjectural_prediction, a.notes, dict(a.flags), None)
+    b = CylinderVerdict(a.certificate, a.conjectural_prediction, a.notes,
+                        dict(a.flags), None)
     assert a == b and a.table_hit != b.table_hit
-    assert a != CylinderVerdict(a.status, a.certificate, a.citations,
-                                a.conjectural_prediction, a.notes, {}, a.table_hit)
-    assert CylinderVerdict("Unknown", None).flags == {}
-    assert CylinderVerdict("Unknown", None).flags is not CylinderVerdict("Unknown", None).flags
+    assert a != CylinderVerdict(a.certificate, a.conjectural_prediction, a.notes,
+                                {}, a.table_hit)
+    assert CylinderVerdict(None).flags == {}
+    assert CylinderVerdict(None).flags is not CylinderVerdict(None).flags
 
 
 @each_case()

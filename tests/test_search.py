@@ -202,7 +202,7 @@ def test_sharded_equals_unsharded():
     shards = partition(cfg, 3)
     sharded = set()
     for shard in shards:
-        sharded |= keyset(run_search(cfg, prefixes=shard))
+        sharded |= {(d.weights, d.multidegree) for d in iter_candidates(cfg, shard)}
     assert sharded == serial
 
 
@@ -272,7 +272,7 @@ def test_ambient_well_formed_reads_the_prefix_table():
     for _ in range(2000):
         ws = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(3, 8))))
         prefix, x = ws[:-1], ws[-1]
-        l2 = search._ambient_well_formed(prefix, literal_table(prefix))
+        l2 = search._ambient_well_formed(literal_table(prefix))
         assert (l2 == 0) == (math.gcd(*prefix) != 1), prefix
         assert (math.gcd(l2, x) == 1) == is_well_formed(ws), ws
 
@@ -333,7 +333,7 @@ def check_prefix(cfg, prefix, table, per):
     """_degree_splits of the prefix against the literal filter; the
     prefix's l2."""
     want = literal_prefix_splits(cfg, prefix)
-    l2 = search._ambient_well_formed(prefix, table)
+    l2 = search._ambient_well_formed(table)
     if not l2:
         assert not want, prefix
         return l2
@@ -379,7 +379,7 @@ def test_smaller_weight_clauses_drop_only_singleton_failures(options):
     # no output
     dropped = 0
     for cfg, prefix, table, per in sampled_prefixes(options, "dropped-splits"):
-        l2 = search._ambient_well_formed(prefix, table)
+        l2 = search._ambient_well_formed(table)
         if not l2:
             continue
         kept = set(search._degree_splits(cfg, prefix, table, l2,
@@ -407,7 +407,7 @@ def test_split_screen_counts(options, splits, passing):
     quasi_smooth = qs_hypersurface_fast if cfg.codim == 1 else qs_ci2_fast
     got = [(ws, degs)
            for prefix, table in search._sorted_tuples(cfg.tuple_length, cfg.max_weight)
-           if (l2 := search._ambient_well_formed(prefix, table))
+           if (l2 := search._ambient_well_formed(table))
            for ws, degs in search._degree_splits(cfg, prefix, table, l2, gaps, per)]
     assert len(got) == splits
     assert sum(quasi_smooth(ws, *degs, None) for ws, degs in got) == passing
@@ -427,7 +427,7 @@ def test_sieved_walk_counts(options, whole, sieved, splits):
 
     def handed(walk):
         return [(ws, degs) for prefix, table in walk
-                if (l2 := search._ambient_well_formed(prefix, table))
+                if (l2 := search._ambient_well_formed(table))
                 for ws, degs in search._degree_splits(cfg, prefix, table, l2, gaps, per)]
     box = list(search._sorted_tuples(cfg.tuple_length, cfg.max_weight))
     walk = list(search._sorted_tuples(cfg.tuple_length, cfg.max_weight, None,

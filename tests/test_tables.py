@@ -162,11 +162,16 @@ def test_verify_all_names_the_failing_subset(monkeypatch):
     # a well-formed Fano hypersurface that is not quasi-smooth, standing in for
     # one sporadic row: the violation names the subset the criterion rejects.
     # A codimension-3 stand-in has no criterion, so it reads as no violation.
-    stand_ins = {("T2", 5): WciDescriptor.of((1, 1, 1, 3), (2,)),
-                 ("T2", 6): WciDescriptor.of((1,) * 7, (2, 2, 2))}
-    real = tables.instantiate
-    monkeypatch.setattr(tables, "instantiate",
-                        lambda t, r, n=1: stand_ins.get((t, r)) or real(t, r, n))
+    stand_ins = {("T2", 5): ((1, 1, 1, 3), (2,)), ("T2", 6): ((1,) * 7, (2, 2, 2))}
+
+    def stand_in(row):
+        if (row.table_id, row.row_id) not in stand_ins:
+            return row
+        ws, ds = stand_ins[row.table_id, row.row_id]
+        return tables.FamilyRow(row.table_id, row.row_id, (0,) * len(ws), ws,
+                                (0,) * len(ds), ds, row.k_metadata)
+    rows = [stand_in(row) for row in tables.load_rows()]
+    monkeypatch.setattr(tables, "load_rows", lambda: rows)
     report = tables.verify_all(1)
     reasons = {key: [v.reason for v in report.violations if (v.table_id, v.row_id) == key]
                for key in stand_ins}
